@@ -18,7 +18,6 @@ from . import bench as bench_mod
 from . import mbdnn
 from .array_model import ConfigError, load_config
 from .fusion import (
-    crlb_group_exact,
     fuse,
     fused_crlb,
     group_candidates,
@@ -76,13 +75,8 @@ def _cmd_estimate(args) -> int:
     sets = group_candidates(scenario)
     selected = select_true_tuple(sets)
     ratio_w = weights_crlb_ratio(scenario.cfg)
-    plug_in = selected.mean
-    crlbs = [
-        crlb_group_exact(scenario.cfg, q, plug_in, scenario.snr_db, scenario.snapshots)
-        for q in range(scenario.cfg.num_groups)
-    ]
-    exact_w = weights_exact(crlbs)
-    report = fused_crlb(scenario.cfg, plug_in, scenario.snr_db, scenario.snapshots)
+    report = fused_crlb(scenario.cfg, selected.mean, scenario.snr_db, scenario.snapshots)
+    exact_w = weights_exact(report.per_group)
     result = {
         "candidates_deg": {
             str(cs.group_index): [float(v) for v in np.degrees(cs.angles)]
@@ -94,7 +88,7 @@ def _cmd_estimate(args) -> int:
         "dispersion_rad2": selected.dispersion,
         "weights_crlb_ratio": [float(w) for w in ratio_w.weights],
         "weights_exact_crlb": [float(w) for w in exact_w.weights],
-        "crlb_per_group_rad2": [float(c) for c in crlbs],
+        "crlb_per_group_rad2": [float(c) for c in report.per_group],
         "crlb_fused_rad2": report.fused_bound,
         "fused_deg_crlb_ratio": math.degrees(fuse(selected, ratio_w)),
         "fused_deg_exact_crlb": math.degrees(fuse(selected, exact_w)),

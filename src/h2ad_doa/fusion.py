@@ -3,7 +3,9 @@
 Coprime subarray sizes guarantee the groups' candidate sets intersect in
 exactly one angle.  With noise the common angle spreads into a tight
 cluster, so the true tuple is recovered as the one combination (one
-candidate per group) of minimum within-tuple dispersion.  The members
+candidate per group) of minimum within-tuple dispersion.  That minimum is
+found by a sweep over the ``sum(M_q)`` cells between the groups' candidate
+midpoints, never by listing all ``prod(M_q)`` combinations.  The members
 are then averaged with inverse-CRLB weights, either from the exact
 per-group bound evaluated at a plug-in angle or from the closed-form
 large-``M`` ratio that needs only the subarray sizes.
@@ -107,29 +109,39 @@ def _angle_arrays(sets: Sequence) -> list[np.ndarray]:
 def select_true_tuple(sets: Sequence) -> TrueTuple:
     """Pick the minimum-dispersion combination across groups.
 
-    Exhausts all ``prod(M_q)`` combinations of one candidate per group
-    and minimizes the sum of squared deviations from the combination
-    mean.  Ties resolve to the lexicographically smallest index tuple.
+    Minimizes the sum of squared deviations from the combination mean
+    over all ``prod(M_q)`` combinations of one candidate per group, in
+    ``O(sum(M_q))`` work: the optimum is the tuple of each group's
+    nearest candidate to some point ``c``, and that tuple only changes
+    where ``c`` crosses the midpoint between two consecutive candidates
+    of a group.  One probe below every midpoint and one at each midpoint
+    (taking the upper candidate there) visit every such tuple.  The
+    visited index tuples are componentwise non-decreasing, so the first
+    minimum is the lexicographically smallest index tuple among the
+    optimal ones, the same tie-break as the exhaustive search.
+
     ``sets`` may hold :class:`CandidateSet` objects or bare angle
-    arrays.
+    arrays; each must be strictly ascending.
     """
     arrays = _angle_arrays(sets)
     if len(arrays) < 2:
         raise ValueError("need candidate sets from at least two groups")
     if any(a.size == 0 for a in arrays):
         raise ValueError("empty candidate set")
-    grids = np.meshgrid(*arrays, indexing="ij")
-    stacked = np.stack([g.ravel() for g in grids], axis=1)
+    if not all(np.all(np.diff(a) > 0) for a in arrays):
+        raise ValueError("candidate angles must be strictly ascending")
+    mids = [(a[:-1] + a[1:]) / 2.0 for a in arrays]
+    probes = np.concatenate([[-np.inf], *mids])
+    probes.sort()
+    rows = np.stack([np.searchsorted(m, probes, side="right") for m in mids], axis=1)
+    stacked = np.stack([a[idx] for a, idx in zip(arrays, rows.T)], axis=1)
     mean = stacked.mean(axis=1, keepdims=True)
     dispersion = np.sum((stacked - mean) ** 2, axis=1)
-    # argmin returns the first minimum in C order, which is the
-    # lexicographically smallest index tuple.
-    flat = int(np.argmin(dispersion))
-    indices = np.unravel_index(flat, tuple(a.size for a in arrays))
+    best = int(np.argmin(dispersion))
     return TrueTuple(
-        angles=stacked[flat].copy(),
-        member_indices=tuple(int(i) for i in indices),
-        dispersion=float(dispersion[flat]),
+        angles=stacked[best].copy(),
+        member_indices=tuple(int(i) for i in rows[best]),
+        dispersion=float(dispersion[best]),
     )
 
 
@@ -243,7 +255,8 @@ def fused_crlb(
         crlb_group_exact(cfg, q, theta0, snr_db, snapshots)
         for q in range(cfg.num_groups)
     )
-    fused = 1.0 / sum(1.0 / c for c in per_group)
+    # A zero bound (noiseless, snr_db=inf) fuses to zero.
+    fused = 1.0 / sum(1.0 / c for c in per_group) if all(per_group) else 0.0
     return CrlbReport(
         per_group=per_group,
         fused_bound=float(fused),
@@ -290,14 +303,10 @@ def estimate_doa(scenario: SimScenario, method: str = "crlb_ratio") -> FusedEsti
     if method == "crlb_ratio":
         weights = weights_crlb_ratio(scenario.cfg)
     else:
-        plug_in = selected.mean
-        crlbs = [
-            crlb_group_exact(
-                scenario.cfg, q, plug_in, scenario.snr_db, scenario.snapshots
-            )
-            for q in range(scenario.cfg.num_groups)
-        ]
-        weights = weights_exact(crlbs)
+        report = fused_crlb(
+            scenario.cfg, selected.mean, scenario.snr_db, scenario.snapshots
+        )
+        weights = weights_exact(report.per_group)
     return FusedEstimate(
         theta_hat=fuse(selected, weights),
         selected=selected,

@@ -50,7 +50,8 @@ class SimScenario:
         True direction of arrival, radians, strictly inside
         ``(-pi/2, pi/2)``.
     snr_db : float
-        Per-element SNR in dB.  ``inf`` yields a noiseless simulation.
+        Per-element SNR in dB.  ``inf`` yields a noiseless simulation;
+        NaN and ``-inf`` are rejected by :meth:`validate`.
     snapshots : int
         Number of snapshots ``T``.
     seed : int
@@ -75,6 +76,8 @@ class SimScenario:
             )
         if self.snapshots < 1:
             raise ValueError(f"snapshots={self.snapshots} must be >= 1")
+        if not self.snr_db > -np.inf:
+            raise ValueError(f"snr_db={self.snr_db} must be a number or +inf")
         return self
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2ad_doa.array_model import ArrayConfig
 from h2ad_doa.fusion import (
@@ -20,7 +22,7 @@ from h2ad_doa.fusion import (
     weights_exact,
 )
 from h2ad_doa.signal_sim import SimScenario
-from h2ad_doa.subspace import DegenerateSpectrumError
+from h2ad_doa.subspace import DegenerateSpectrumError, enumerate_candidates
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 THETA41 = math.radians(41.0)
@@ -67,6 +69,62 @@ def test_select_true_tuple_tie_breaks_lexicographically():
 def test_select_true_tuple_needs_two_groups():
     with pytest.raises(ValueError):
         select_true_tuple([np.array([0.1, 0.2])])
+
+
+def test_select_true_tuple_rejects_unsorted_candidates():
+    with pytest.raises(ValueError):
+        select_true_tuple([np.array([0.2, 0.1]), np.array([0.1, 0.2])])
+    with pytest.raises(ValueError):
+        select_true_tuple([np.array([0.1, 0.1]), np.array([0.1, 0.2])])
+
+
+def product_oracle(groups):
+    """Exhaustive search in itertools.product (lexicographic) order."""
+    combos = list(itertools.product(*[range(len(g)) for g in groups]))
+    table = np.array([[g[i] for g, i in zip(groups, c)] for c in combos])
+    mean = table.mean(axis=1, keepdims=True)
+    disp = np.sum((table - mean) ** 2, axis=1)
+    best = int(np.argmin(disp))
+    return combos[best], float(disp[best])
+
+
+def _ascending_groups(values):
+    group = st.lists(values, min_size=1, max_size=7, unique=True).map(sorted)
+    return st.lists(group.map(np.array), min_size=2, max_size=5)
+
+
+# A dyadic grid fine enough to act as reals, and a coarse grid of
+# integers and tenths on which exact dispersion ties are common.
+_FINE = st.integers(-1_500_000, 1_500_000).map(lambda k: k / 2.0**20)
+_COARSE = st.tuples(st.integers(-6, 6), st.sampled_from([1.0, 0.1])).map(
+    lambda p: p[0] * p[1]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=st.one_of(_ascending_groups(_FINE), _ascending_groups(_COARSE)))
+def test_select_true_tuple_equals_product_oracle(groups):
+    chosen = select_true_tuple(groups)
+    combo, disp = product_oracle(groups)
+    assert chosen.member_indices == combo
+    assert chosen.dispersion == disp
+    assert np.array_equal(chosen.angles, [g[i] for g, i in zip(groups, combo)])
+
+
+def test_select_true_tuple_scales_past_exhaustive_search():
+    # prod(M) ~ 1.3e9 tuples: the exhaustive table alone would need ~65 GB.
+    cfg = ArrayConfig(M=(23, 29, 31, 37, 41, 43), K=(8,) * 6)
+    for theta_deg in (-52.0, -7.3, 0.4, 23.0, 61.0):
+        theta = math.radians(theta_deg)
+        sets = []
+        for q in range(cfg.num_groups):
+            geom = cfg.group(q)
+            phase = 2.0 * np.pi * geom.virtual_spacing * math.sin(theta) / geom.wavelength
+            sets.append(enumerate_candidates(float(np.angle(np.exp(1j * phase))), geom))
+        planted = tuple(int(np.argmin(np.abs(cs.angles - theta))) for cs in sets)
+        chosen = select_true_tuple(sets)
+        assert chosen.member_indices == planted
+        assert np.max(np.abs(chosen.angles - theta)) < 1e-12
 
 
 def test_exact_crlb_frozen_values():
@@ -150,6 +208,14 @@ def test_fused_crlb_harmonic_composition():
     harmonic = 1.0 / np.sum(1.0 / np.asarray(GOLDEN_CRLB))
     assert report.fused_bound == pytest.approx(harmonic, rel=1e-12)
     assert report.fused_bound < min(GOLDEN_CRLB)
+
+
+def test_noiseless_bounds_fuse_to_zero_and_refuse_exact_weights():
+    report = fused_crlb(BASE_CFG, THETA41, math.inf, 200)
+    assert report.per_group == (0.0, 0.0, 0.0)
+    assert report.fused_bound == 0.0
+    with pytest.raises(NonPositiveCrlbError):
+        estimate_doa(scenario(snr_db=math.inf), method="exact_crlb")
 
 
 def test_group_failure_wraps_cause(monkeypatch):

@@ -40,6 +40,16 @@ def test_scenario_validation():
     scenario(theta0=math.radians(89.9)).validate()
 
 
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+def test_scenario_rejects_undefined_snr(snr_db):
+    with pytest.raises(ValueError, match="snr_db"):
+        scenario(snr_db=snr_db).validate()
+
+
+def test_scenario_accepts_noiseless_snr():
+    assert scenario(snr_db=math.inf).validate().noise_variance == 0.0
+
+
 def test_derive_seed_deterministic_and_distinct():
     s = derive_seed(123, 4, 5)
     assert s == derive_seed(123, 4, 5)
