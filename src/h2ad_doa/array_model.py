@@ -139,7 +139,8 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
         If any ``M_q < 2`` or ``K_q < 2``.
     ConfigError
         On shape or sign problems (mismatched lists, non-positive
-        spacing or wavelength).
+        spacing or wavelength), or element spacing above half a
+        wavelength, where grating lobes alias the angle itself.
     """
     if len(cfg.M) == 0:
         raise ConfigError("configuration has no groups")
@@ -160,6 +161,11 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
                 raise NonCoprimeError(q, k, cfg.M[q], cfg.M[k])
     if not cfg.d_over_lambda > 0:
         raise ConfigError(f"d_over_lambda={cfg.d_over_lambda} must be positive")
+    if not cfg.d_over_lambda <= 0.5:
+        raise ConfigError(
+            f"d_over_lambda={cfg.d_over_lambda} exceeds 0.5: grating lobes make "
+            "the element array itself ambiguous"
+        )
     if not cfg.wavelength > 0:
         raise ConfigError(f"wavelength={cfg.wavelength} must be positive")
     return cfg

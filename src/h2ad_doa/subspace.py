@@ -5,6 +5,20 @@ Each group's virtual array undersamples space by its subarray size
 ``lambda / (M_q * d)``.  :func:`enumerate_candidates` unfolds that
 ambiguity into the group's full candidate set; resolving which candidate
 is the true angle is the fusion stage's job.
+
+Root-MUSIC needs one root of a degree ``2(K_q - 1)`` polynomial: the
+signal root, the one of largest modulus inside the unit circle.
+``np.roots`` computes all of them with an O(K_q^3) companion-matrix
+eigensolve, which dominates a trial once ``K_q`` is large.  From degree
+``_CERTIFIED_MIN_DEGREE`` on, :func:`root_music_phase` finds the signal
+root alone: Newton iteration from the minimum of the FFT-evaluated
+spectrum, then an argument-principle root count that certifies no other
+root competes with it.  Whenever Newton or the certificate fails, the
+``np.roots`` selection runs unchanged.  The constant sits at degree 34
+(``K_q = 18``), where the certified path measured faster than
+``np.roots`` (0.85 against 1.21 ms per fit at -5/0/10 dB); at degree 30
+the two cost the same, so every ``K_q <= 16`` group keeps the
+``np.roots`` result bit for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +39,18 @@ ROOT_TIE_TOL = 1e-12
 #: Slack on the unit-circle membership test; keeps a root pair that numerics
 #: pushed marginally outside from being discarded.
 _CIRCLE_SLACK = 1e-9
+
+#: Polynomial degree 2(K_q - 1) from which root_music_phase certifies the
+#: signal root alone instead of rooting the whole polynomial (see the
+#: module docstring for the measured crossover).
+_CERTIFIED_MIN_DEGREE = 34
+
+#: Largest FFT grid of one argument-principle count.
+_CERTIFICATE_MAX_POINTS = 8192
+
+_NEWTON_MAX_STEPS = 50
+_NEWTON_TOL = 1e-13
+_EPS = float(np.finfo(float).eps)
 
 
 class DegenerateSpectrumError(RuntimeError):
@@ -117,11 +143,24 @@ def _root_polynomial(ns: NoiseSubspace) -> np.ndarray:
 def root_music_phase(ns: NoiseSubspace, geom: GroupGeometry) -> float:
     """Electrical phase of the signal root of one group.
 
-    Roots the noise-subspace polynomial and keeps, among roots inside
-    the unit circle, the one of largest modulus; modulus ties within
-    ``ROOT_TIE_TOL`` break toward the smaller principal argument.  The
-    analog gain prefactor is angle-dependent but root-free, so it plays
-    no part in rooting.
+    The signal root is, among roots inside the unit circle, the one of
+    largest modulus; modulus ties within ``ROOT_TIE_TOL`` break toward
+    the smaller principal argument.  The analog gain prefactor is
+    angle-dependent but root-free, so it plays no part in rooting.
+
+    Below degree ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``) the polynomial
+    is rooted with ``np.roots``, an O(K_q^3) companion-matrix
+    eigensolve.  From that degree on, the signal root is found alone:
+    Newton iteration from the minimum of the FFT-evaluated spectrum,
+    then an argument-principle certificate that it is the only root
+    with modulus in ``[rho - ROOT_TIE_TOL, 1 + _CIRCLE_SLACK]`` (see
+    :func:`_certified_signal_phase`).  When Newton does not converge,
+    the root lies too close to the unit circle (noiseless double roots
+    lie on it), or the certificate cannot resolve its counts within
+    ``_CERTIFICATE_MAX_POINTS`` samples, the ``np.roots`` selection runs
+    unchanged, so its result is the same to the bit.  A certified phase
+    agrees with the ``np.roots`` one to rounding (below 1e-13 rad in the
+    tests).
 
     Returns
     -------
@@ -133,6 +172,15 @@ def root_music_phase(ns: NoiseSubspace, geom: GroupGeometry) -> float:
     coeffs = _root_polynomial(ns)
     if not np.any(np.abs(coeffs) > 0):
         raise NoRootFoundError("all polynomial coefficients vanish")
+    if coeffs.size - 1 >= _CERTIFIED_MIN_DEGREE:
+        phase = _certified_signal_phase(coeffs)
+        if phase is not None:
+            return phase
+    return _np_roots_phase(coeffs)
+
+
+def _np_roots_phase(coeffs: np.ndarray) -> float:
+    """Signal-root phase from all roots of ``coeffs`` (``np.roots``)."""
     roots = np.roots(coeffs)
     if roots.size == 0:
         raise NoRootFoundError("polynomial has no roots")
@@ -147,6 +195,158 @@ def root_music_phase(ns: NoiseSubspace, geom: GroupGeometry) -> float:
         raise NoRootFoundError("all roots numerically at zero")
     tied = roots[moduli >= best - ROOT_TIE_TOL]
     return float(np.min(np.angle(tied)) if tied.size > 1 else np.angle(tied[0]))
+
+
+def _certified_signal_phase(coeffs: np.ndarray) -> float | None:
+    """Phase of the signal root found alone, or None when not certified.
+
+    Newton iteration from the deepest point of the unit-circle spectrum
+    converges to some root ``z``, mirrored inside the circle to modulus
+    ``rho = 1 - gap``.  Its last step ``s`` puts a true root within
+    ``n*|s|`` of ``z``, ``n`` the degree (``p'/p = sum 1/(z - z_i)``),
+    far inside the annuli below.  A root of larger modulus, or one that ties with it,
+    may still exist elsewhere, so the result stands only if the argument
+    principle counts ``K_q - 1`` roots inside radius
+    ``1 + 2*_CIRCLE_SLACK`` and ``K_q - 2`` inside radius
+    ``rho - depth``.  Then ``z`` is the only root with modulus in
+    ``[rho - depth, 1 + 2*_CIRCLE_SLACK)``, which contains
+    ``[rho - ROOT_TIE_TOL, 1 + _CIRCLE_SLACK]``, so ``np.roots`` would
+    select it without a tie.  ``depth`` is ``gap`` or, when a noise root
+    lies in between, ``gap/4``.  The circles pass ``gap`` and ``depth``
+    from ``z``, and a count there needs about ``8/gap`` and ``8/depth``
+    samples, so the grid cap sends gaps below about 1e-3 to
+    ``np.roots``.
+    """
+    asc = coeffs[::-1]
+    z = _newton_root(asc, _spectrum_minimum(asc))
+    if z is not None and abs(z) > 1.0:
+        z = _newton_root(asc, 1.0 / np.conj(z))
+    if z is None:
+        return None
+    rho = abs(z)
+    gap = 1.0 - rho
+    if not 1e-9 < gap < 0.5:
+        return None
+    half = (asc.size - 1) // 2
+    if _root_count(asc, 1.0 + 2.0 * _CIRCLE_SLACK, gap) != half:
+        return None
+    for depth in (gap, 0.25 * gap):
+        if _root_count(asc, rho - depth, depth) == half - 1:
+            return float(np.angle(z))
+    return None
+
+
+def _spectrum_minimum(asc: np.ndarray) -> complex:
+    """Newton start below the deepest point of the unit-circle spectrum.
+
+    Near a signal root ``z = rho * exp(j*w)`` the spectrum is close to
+    ``c * ((t - w)^2 + (1 - rho)^2)``; a parabola through the smallest
+    FFT sample and its neighbours estimates ``w`` and ``1 - rho``.
+    """
+    size = _pow2(4 * asc.size)
+    spectrum = np.abs(np.fft.ifft(_centred(asc, 1.0, size), norm="forward"))
+    k = int(np.argmin(spectrum))
+    lo, mid, hi = spectrum[k - 1], spectrum[k], spectrum[(k + 1) % size]
+    bend = lo - 2.0 * mid + hi
+    shift, gap = 0.0, 0.01
+    if bend > 0:
+        shift = 0.5 * (lo - hi) / bend
+        floor = mid - 0.125 * (lo - hi) ** 2 / bend
+        gap = (2.0 * np.pi / size) * math.sqrt(max(floor, 0.0) * 2.0 / bend)
+    gap = min(max(gap, 1e-6), 0.5)
+    return (1.0 - gap) * np.exp(2j * np.pi * (k + shift) / size)
+
+
+def _newton_root(asc: np.ndarray, z: complex) -> complex | None:
+    """Newton iteration on ``sum_m asc[m] z^m``; None if it does not converge."""
+    powers = np.arange(asc.size)
+    slope_coeffs = powers[1:] * asc[1:]
+    for _ in range(_NEWTON_MAX_STEPS):
+        zp = z ** powers
+        slope = zp[:-1] @ slope_coeffs
+        if slope == 0:
+            return None
+        step = (zp @ asc) / slope
+        if not np.isfinite(step):
+            return None
+        z = z - step
+        if abs(step) <= _NEWTON_TOL:
+            return complex(z)
+    return None
+
+
+def _root_count(asc: np.ndarray, radius: float, clearance: float) -> int | None:
+    """Roots of ``sum_m asc[m] z^m`` inside ``|z| = radius``, or None.
+
+    ``clearance`` is the expected distance from the circle to the
+    nearest root; ``|p|`` bends on that scale there, so the grid starts
+    near ``8 / clearance`` points and doubles until the winding number
+    is resolved, up to ``_CERTIFICATE_MAX_POINTS``.
+    """
+    size = _pow2(max(2 * asc.size, 8.0 / clearance))
+    while size <= _CERTIFICATE_MAX_POINTS:
+        count = _winding_number(asc, radius, size)
+        if count is not None:
+            return count
+        size *= 2
+    return None
+
+
+def _winding_number(asc: np.ndarray, radius: float, size: int) -> int | None:
+    """Argument-principle root count from ``size`` FFT samples, or None.
+
+    With ``n = 2d`` the degree, ``g(t) = exp(-j*d*t) * p(radius*exp(j*t))``
+    is a trigonometric polynomial of degree ``d`` whose winding number is
+    the root count minus ``d``.  The count is accepted only if every arc
+    between neighbouring samples provably keeps ``g`` inside two discs
+    that exclude zero and turn its argument by less than ``pi/3``:
+
+    - ``|g''| <= sum m^2 |beta_m|`` (``beta_m`` the coefficients of
+      ``g``) bounds ``|g'|`` on an arc by the mean of its two end
+      samples of ``|g'|`` plus ``h/2`` times that sum, with ``h`` the
+      arc length;
+    - FFT rounding is covered by Higham's bound (Accuracy and Stability
+      of Numerical Algorithms, Thm. 24.2) with twiddle error at most
+      ``4 eps``, which gives ``|error| <= 10 eps log2(N) sqrt(N) sum|beta|``
+      per sample, plus ``4 eps sum|beta|`` for forming the coefficients.
+
+    With ``|g_k| + |g_{k+1}| - 2E >= 2 h max|g'|`` on each arc and every
+    ``|g_k| >= 4E``, each sampled argument step equals the true one up
+    to errors that cancel around the circle, so the summed steps are
+    ``2*pi`` times the exact winding number.
+    """
+    beta = _centred(asc, radius, size)
+    freq = np.fft.fftfreq(size, 1.0 / size)
+    g = np.fft.ifft(beta, norm="forward")
+    dg = np.fft.ifft(1j * freq * beta, norm="forward")
+    h = 2.0 * np.pi / size
+    rounding = _EPS * (10.0 * math.log2(size) * math.sqrt(size) + 4.0)
+    weight = np.abs(beta)
+    err = rounding * np.sum(weight)
+    derr = rounding * np.sum(np.abs(freq) * weight)
+    bend = np.sum(freq * freq * weight) * (1.0 + 1e-12)
+    g = np.append(g, g[0])
+    mag = np.abs(g)
+    dmag = np.abs(np.append(dg, dg[0]))
+    slope = 0.5 * (dmag[:-1] + dmag[1:]) + derr + 0.5 * h * bend
+    if mag.min() < 4.0 * err or np.any(mag[:-1] + mag[1:] - 2.0 * err < 2.0 * h * slope):
+        return None
+    turn = float(np.sum(np.angle(g[1:] * g[:-1].conj())))
+    return (asc.size - 1) // 2 + round(turn / (2.0 * np.pi))
+
+
+def _centred(asc: np.ndarray, radius: float, size: int) -> np.ndarray:
+    """FFT-ordered coefficients of ``exp(-j*d*t) * p(radius*exp(j*t))``."""
+    half = (asc.size - 1) // 2
+    scaled = asc * radius ** np.arange(asc.size)
+    beta = np.zeros(size, dtype=complex)
+    beta[: half + 1] = scaled[half:]
+    beta[size - half:] = scaled[:half]
+    return beta
+
+
+def _pow2(x: float) -> int:
+    return 1 << max(0, math.ceil(math.log2(x)))
 
 
 def enumerate_candidates(phase_hat: float, geom: GroupGeometry) -> CandidateSet:

@@ -46,6 +46,8 @@ def test_validate_accepts_base_config():
         (dict(M=(6, 9), K=(16, 16)), NonCoprimeError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda=0.0), ConfigError),
         (dict(M=(7, 11), K=(16, 16), wavelength=-1.0), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), d_over_lambda=0.7), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), d_over_lambda=math.inf), ConfigError),
     ],
 )
 def test_validate_rejects(kwargs, exc):

@@ -201,6 +201,17 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert "coprime" in capsys.readouterr().err
 
 
+def test_cli_estimate_rejects_grating_lobe_spacing(tmp_path, capsys):
+    # above half a wavelength a group's virtual array has more than M_q
+    # candidates and the element array itself aliases the angle
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"groups": 3, "M": [7, 11, 13], "K": [16, 16, 16],
+                                "d_over_lambda": 0.7}))
+    assert cli_main(["estimate", "--config", str(path), "--theta0-deg", "41",
+                     "--snr-db", "10", "--snapshots", "200", "--seed", "7"]) == 2
+    assert "d_over_lambda" in capsys.readouterr().err
+
+
 def test_cli_missing_config_is_exit_2(tmp_path):
     assert cli_main(["validate", "--config", str(tmp_path / "gone.json")]) == 2
 

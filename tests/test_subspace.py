@@ -3,14 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from h2ad_doa import subspace
 from h2ad_doa.array_model import ArrayConfig, virtual_steering
 from h2ad_doa.signal_sim import SimScenario, exact_covariance, sample_covariance, simulate_group
 from h2ad_doa.subspace import (
+    _CERTIFIED_MIN_DEGREE,
     CandidateSet,
     DegenerateSpectrumError,
     NoiseSubspace,
     NoRootFoundError,
+    _certified_signal_phase,
+    _newton_root,
+    _np_roots_phase,
     _root_polynomial,
+    _spectrum_minimum,
+    _winding_number,
     enumerate_candidates,
     music_pseudospectrum,
     noise_subspace,
@@ -134,6 +141,110 @@ def test_candidate_exact_recovery_fuzz():
         cs = enumerate_candidates(phase, BASE_CFG.group(q))
         assert len(cs.angles) == BASE_CFG.M[q]
         assert np.min(np.abs(cs.angles - theta)) < 1e-7
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+def test_noiseless_k64_falls_back_and_recovers_angle(q):
+    # noiseless roots are double roots on the unit circle: the certified
+    # path must decline them and np.roots must still recover the angle
+    cfg = ArrayConfig(M=(7, 11, 13), K=(64, 64, 64))
+    sc = scenario(cfg=cfg, snr_db=math.inf)
+    ns = noise_subspace(sample_covariance(simulate_group(sc, q)))
+    assert _certified_signal_phase(_root_polynomial(ns)) is None
+    cs = enumerate_candidates(root_music_phase(ns, cfg.group(q)), cfg.group(q))
+    assert np.min(np.abs(cs.angles - THETA41)) < 1e-9
+
+
+def wrapped(a, b):
+    return abs(math.remainder(a - b, 2 * math.pi))
+
+
+def test_certified_phase_agrees_with_np_roots_fuzz():
+    rng = np.random.default_rng(2024)
+    certified = fallback = 0
+    for _ in range(120):
+        k = int(rng.integers(_CERTIFIED_MIN_DEGREE // 2 + 1, 65))
+        cfg = ArrayConfig(M=(11, 13, 17), K=(k, k, k))
+        q = int(rng.integers(0, 3))
+        sc = SimScenario(cfg=cfg, theta0=float(rng.uniform(-1.3, 1.3)),
+                         snr_db=float(rng.uniform(-15.0, 30.0)), snapshots=200,
+                         seed=int(rng.integers(1 << 30)))
+        ns = noise_subspace(sample_covariance(simulate_group(sc, q)))
+        coeffs = _root_polynomial(ns)
+        reference = _np_roots_phase(coeffs)
+        fast = _certified_signal_phase(coeffs)
+        phase = root_music_phase(ns, cfg.group(q))
+        if fast is None:
+            fallback += 1
+            assert phase == reference
+        else:
+            certified += 1
+            assert phase == fast
+            assert wrapped(fast, reference) < 1e-9
+    assert certified >= 60 and fallback >= 10
+
+
+def reciprocal_polynomial(roots):
+    """Coefficients (highest first) with a root pair z, 1/conj(z) per entry."""
+    coeffs = np.array([1.0 + 0j])
+    for z in roots:
+        coeffs = np.polymul(coeffs, [-np.conj(z), 1.0 + abs(z) ** 2, -z])
+    return coeffs
+
+
+def decoy_polynomial(decoy_modulus, target_modulus, target_paired):
+    # the target root (angle 2.0) has the larger modulus, but two roots at
+    # modulus 0.6 beside the decoy (angle -1.0) deepen the decoy's dip
+    roots = [decoy_modulus * np.exp(-1.0j), 0.6 * np.exp(-1.05j), 0.6 * np.exp(-0.95j)]
+    roots += [0.3 * np.exp(2j * np.pi * i / 14 + 0.1j) for i in range(14)]
+    coeffs = reciprocal_polynomial(roots)
+    target = target_modulus * np.exp(2.0j)
+    if target_paired:
+        return np.polymul(coeffs, reciprocal_polynomial([target]))
+    # without its mirror, and with a root near the origin to keep the
+    # count inside the inner circle, only the outer circle sees the target
+    return np.polymul(coeffs, np.poly([target, 0.1]))
+
+
+@pytest.mark.parametrize("decoy_modulus, target_modulus, target_paired", [
+    (0.95, 0.95 + 1e-6, True),   # second root pair of almost equal modulus
+    (0.90, 0.97, True),          # larger modulus under a shallower dip
+    (0.90, 0.999, False),        # unpaired root near the circle
+])
+def test_certificate_rejects_newton_decoy(monkeypatch, decoy_modulus, target_modulus,
+                                          target_paired):
+    coeffs = decoy_polynomial(decoy_modulus, target_modulus, target_paired)
+    assert coeffs.size - 1 >= _CERTIFIED_MIN_DEGREE
+    asc = coeffs[::-1]
+    naive = np.angle(_newton_root(asc, _spectrum_minimum(asc)))
+    reference = _np_roots_phase(coeffs)
+    assert wrapped(naive, -1.0) < 1e-9
+    assert wrapped(reference, 2.0) < 1e-9
+    monkeypatch.setattr(subspace, "_root_polynomial", lambda ns: coeffs)
+    ns = NoiseSubspace(basis=np.zeros((18, 17), dtype=complex),
+                       leading_eigenvalue=1.0, noise_floor=0.1)
+    assert root_music_phase(ns, BASE_CFG.group(0)) == reference
+
+
+def test_winding_count_is_never_wrong():
+    # every count the sampling bound accepts equals the true root count,
+    # also on circles that pass 0.01 from a root
+    rng = np.random.default_rng(7)
+    resolved = 0
+    for _ in range(30):
+        moduli = np.concatenate([rng.uniform(0.9, 0.98, size=1), rng.uniform(0.2, 0.7, size=16)])
+        roots = moduli * np.exp(1j * rng.uniform(-np.pi, np.pi, size=17))
+        asc = reciprocal_polynomial(roots)[::-1]
+        all_moduli = np.concatenate([moduli, 1.0 / moduli])
+        for radius in (rng.uniform(0.2, 1.5), moduli[0] - 1e-2, moduli[0] + 1e-2,
+                       1.0 / moduli[0] - 1e-2, moduli[1] + 2e-2):
+            truth = int(np.sum(all_moduli < radius))
+            for size in (64, 256, 1024, 4096):
+                count = _winding_number(asc, radius, size)
+                if count is not None:
+                    resolved += 1
+                    assert count == truth
+    assert resolved >= 80
 
 
 def test_boundary_tie_drops_positive_end():
