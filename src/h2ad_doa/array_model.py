@@ -82,6 +82,8 @@ class GroupGeometry:
 class ArrayConfig:
     """Receiver layout: subarray sizes, subarray counts, spacing.
 
+    Construction checks it with :func:`validate_config`.
+
     Parameters
     ----------
     M : tuple of int
@@ -99,6 +101,9 @@ class ArrayConfig:
     K: tuple[int, ...]
     d_over_lambda: float = 0.5
     wavelength: float = 1.0
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
     @property
     def num_groups(self) -> int:
@@ -123,9 +128,6 @@ class ArrayConfig:
             spacing=self.spacing,
             wavelength=self.wavelength,
         )
-
-    def groups(self) -> list[GroupGeometry]:
-        return [self.group(q) for q in range(self.num_groups)]
 
 
 def validate_config(cfg: ArrayConfig) -> ArrayConfig:
@@ -272,7 +274,7 @@ def load_config(path) -> ArrayConfig:
         d_over_lambda=float(raw.get("d_over_lambda", 0.5)),
         wavelength=float(raw.get("lambda_m", 1.0)),
     )
-    return validate_config(cfg)
+    return cfg
 
 
 def save_config(cfg: ArrayConfig, path) -> None:

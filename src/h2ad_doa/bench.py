@@ -18,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig, validate_config
+from .array_model import ArrayConfig, ConfigError
 from .fusion import (
+    WEIGHTING_METHODS,
     AngleOutOfGuardError,
     GroupFailureError,
     NonPositiveCrlbError,
@@ -30,7 +31,7 @@ from .fusion import (
 from .mbdnn import MlpModel, ModelFormatError, load_model, predict_doa
 from .signal_sim import SimScenario, derive_seed
 
-METHODS = ("crlb_ratio", "exact_crlb", "mbdnn")
+METHODS = WEIGHTING_METHODS + ("mbdnn",)
 
 CSV_HEADER = (
     "method,snr_db,snapshots,K,rmse_deg,crlb_fused_deg,trials_used,failures,wall_ms"
@@ -54,7 +55,8 @@ class BenchSpec:
 
     Grids multiply: every combination of SNR, snapshot count, and
     uniform subarray count ``K`` becomes a cell.  ``k_grid=None`` keeps
-    the configuration's own subarray counts.
+    the configuration's own subarray counts.  Construction runs
+    :meth:`validate`, so a spec that exists can be swept.
     """
 
     cfg: ArrayConfig
@@ -67,23 +69,27 @@ class BenchSpec:
     model_path: str | None = None
     master_seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> "BenchSpec":
-        validate_config(self.cfg)
-        if not abs(self.theta0_deg) < 90.0:
-            raise ValueError(f"theta0_deg={self.theta0_deg} out of range")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not self.snr_grid or not self.snapshot_grid:
-            raise ValueError("empty sweep grid")
-        if self.k_grid is not None and (
-            len(self.k_grid) == 0 or any(k < 2 for k in self.k_grid)
-        ):
-            raise ValueError(f"bad k_grid {self.k_grid}")
+            raise ConfigError("trials must be >= 1")
+        empty_k = self.k_grid is not None and not self.k_grid
+        if not self.snr_grid or not self.snapshot_grid or empty_k:
+            raise ConfigError("empty sweep grid")
         for m in self.methods:
             if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}, expected one of {METHODS}")
+                raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")
         if "mbdnn" in self.methods and not self.model_path:
-            raise ValueError("method mbdnn requires a model path")
+            raise ConfigError("method mbdnn requires a model path")
+        # Build each cell's config and scenario so their checks run before any trial.
+        for k in self.k_grid or ():
+            _cell_config(self, k)
+        theta0 = math.radians(self.theta0_deg)
+        for snr in self.snr_grid:
+            for snapshots in self.snapshot_grid:
+                SimScenario(self.cfg, theta0, snr, snapshots)
         return self
 
 
@@ -136,7 +142,6 @@ def _run_trial(
 
 def run_sweep(spec: BenchSpec) -> list[ResultRow]:
     """Run the full grid for every requested method."""
-    spec.validate()
     model = None
     if "mbdnn" in spec.methods:
         try:
@@ -149,7 +154,6 @@ def run_sweep(spec: BenchSpec) -> list[ResultRow]:
     cell = 0
     for k in k_values:
         cfg = _cell_config(spec, k)
-        validate_config(cfg)
         for snapshots in spec.snapshot_grid:
             for snr in spec.snr_grid:
                 crlb_deg = math.degrees(

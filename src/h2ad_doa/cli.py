@@ -43,7 +43,7 @@ def _scenario(args) -> SimScenario:
         snr_db=args.snr_db,
         snapshots=args.snapshots,
         seed=args.seed,
-    ).validate()
+    )
 
 
 def _parse_grid(text: str, cast):
@@ -172,10 +172,6 @@ def _cmd_bench(args) -> int:
         model_path=args.model,
         master_seed=args.seed,
     )
-    try:
-        spec.validate()
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
     rows = bench_mod.run_sweep(spec)
     text = bench_mod.emit_csv(rows, args.out)
     if args.out:

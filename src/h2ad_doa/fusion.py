@@ -19,12 +19,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig, gain_coefficient, position_weighted_gain, validate_config
+from .array_model import ArrayConfig, gain_coefficient, position_weighted_gain
 from .signal_sim import SimScenario, simulate_group, sample_covariance
 from .subspace import CandidateSet, enumerate_candidates, noise_subspace, root_music_phase
 
 #: The exact CRLB is trusted only this far off broadside (radians).
 ANGLE_GUARD = math.radians(70.0)
+
+#: Weighting methods accepted by :func:`estimate_doa`.
+WEIGHTING_METHODS = ("crlb_ratio", "exact_crlb")
 
 
 class AngleOutOfGuardError(ValueError):
@@ -160,7 +163,6 @@ def crlb_group_exact(
     the observation length.  Valid for ``|theta0|`` under the 70 degree
     guard; beyond it the bound's small-error assumptions are off.
     """
-    validate_config(cfg)
     _guard_angle(theta0)
     geom = cfg.group(q)
     m_q = geom.subarray_size
@@ -193,7 +195,6 @@ def crlb_group_approx(
     ``1/M_q^2`` so that the approximate bound ratio between groups is
     exactly ``M_1^2 / M_q^2``.
     """
-    validate_config(cfg)
     _guard_angle(theta0)
     geom = cfg.group(q)
     k_q = geom.num_subarrays
@@ -282,8 +283,6 @@ def group_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
             phase = root_music_phase(ns, geom)
             sets.append(enumerate_candidates(phase, geom))
         except (ValueError, RuntimeError) as err:
-            if isinstance(err, GroupFailureError):
-                raise
             raise GroupFailureError(q, err) from err
     return tuple(sets)
 
@@ -296,7 +295,7 @@ def estimate_doa(scenario: SimScenario, method: str = "crlb_ratio") -> FusedEsti
     bound at the tuple mean (plug-in angle) under the scenario's nominal
     SNR, then weights by inverse CRLB.
     """
-    if method not in ("crlb_ratio", "exact_crlb"):
+    if method not in WEIGHTING_METHODS:
         raise ValueError(f"unknown weighting method {method!r}")
     sets = group_candidates(scenario)
     selected = select_true_tuple(sets)

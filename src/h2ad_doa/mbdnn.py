@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig, validate_config
+from .array_model import ArrayConfig
 from .fusion import GroupFailureError, group_candidates
 from .signal_sim import SimScenario, derive_seed
 from .subspace import CandidateSet
@@ -77,7 +77,6 @@ class MlpSpec:
 
     @classmethod
     def from_config(cls, cfg: ArrayConfig) -> "MlpSpec":
-        validate_config(cfg)
         return cls(M=tuple(int(m) for m in cfg.M))
 
     @property
@@ -296,9 +295,6 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 256
     lr: float = 1e-4
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
     seed: int = 0
 
 
@@ -494,11 +490,11 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
             step += 1
             for name in trained:
                 g = grads[name]
-                adam_m[name] = cfg.beta1 * adam_m[name] + (1 - cfg.beta1) * g
-                adam_v[name] = cfg.beta2 * adam_v[name] + (1 - cfg.beta2) * g**2
-                m_hat = adam_m[name] / (1 - cfg.beta1**step)
-                v_hat = adam_v[name] / (1 - cfg.beta2**step)
-                model.params[name] -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+                adam_m[name] = ADAM_BETA1 * adam_m[name] + (1 - ADAM_BETA1) * g
+                adam_v[name] = ADAM_BETA2 * adam_v[name] + (1 - ADAM_BETA2) * g**2
+                m_hat = adam_m[name] / (1 - ADAM_BETA1**step)
+                v_hat = adam_v[name] / (1 - ADAM_BETA2**step)
+                model.params[name] -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         history.append(epoch_loss / len(dataset))
     model.epochs_trained += cfg.epochs
     model.stage_losses[cfg.stage] = history[-1] if history else float("nan")
@@ -583,7 +579,7 @@ def predict_doa(model: MlpModel, sets: Sequence[CandidateSet]) -> float:
 
 
 _FIXED_HEADER = struct.Struct("<6sI")  # magic, Q
-_STAGE_ORDER = STAGES
+_TAIL = struct.Struct("<IQqI3d")  # after M: merge width, params, seed, epochs, STAGES losses
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -592,13 +588,12 @@ def save_model(model: MlpModel, path) -> None:
     head = [_FIXED_HEADER.pack(MODEL_MAGIC, spec.num_groups)]
     head.append(struct.pack(f"<{spec.num_groups}I", *spec.M))
     head.append(
-        struct.pack(
-            "<IQqI3d",
+        _TAIL.pack(
             spec.merge_width,
             spec.parameter_count,
             model.seed,
             model.epochs_trained,
-            *[model.stage_losses.get(s, float("nan")) for s in _STAGE_ORDER],
+            *[model.stage_losses.get(s, float("nan")) for s in STAGES],
         )
     )
     with open(path, "wb") as fh:
@@ -619,13 +614,12 @@ def load_model(path) -> MlpModel:
     if not 1 <= num_groups <= 1024:
         raise DimMismatchError(f"{path}: implausible group count {num_groups}")
     offset = _FIXED_HEADER.size
-    tail = struct.Struct("<IQqI3d")
-    if len(blob) < offset + 4 * num_groups + tail.size:
+    if len(blob) < offset + 4 * num_groups + _TAIL.size:
         raise TruncatedFileError(f"{path}: header cut short")
     m_values = struct.unpack_from(f"<{num_groups}I", blob, offset)
     offset += 4 * num_groups
-    merge_width, total_params, seed, epochs, *losses = tail.unpack_from(blob, offset)
-    offset += tail.size
+    merge_width, total_params, seed, epochs, *losses = _TAIL.unpack_from(blob, offset)
+    offset += _TAIL.size
     if any(m < 2 for m in m_values):
         raise DimMismatchError(f"{path}: subarray sizes {m_values} out of range")
     spec = MlpSpec(M=tuple(int(m) for m in m_values))
@@ -649,5 +643,5 @@ def load_model(path) -> MlpModel:
         params[name] = chunk.reshape(shape).copy()
         cursor += count
     model = MlpModel(spec=spec, params=params, seed=int(seed), epochs_trained=int(epochs))
-    model.stage_losses = dict(zip(_STAGE_ORDER, (float(v) for v in losses)))
+    model.stage_losses = dict(zip(STAGES, (float(v) for v in losses)))
     return model

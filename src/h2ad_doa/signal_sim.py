@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayConfig, validate_config, gain_coefficient, virtual_steering
+from .array_model import ArrayConfig, ConfigError, gain_coefficient, virtual_steering
 
 SNAPSHOT_MAGIC = b"H2AD-SNAP"
 SNAPSHOT_VERSION = 1
@@ -43,6 +43,8 @@ class SnapshotFormatError(IOError):
 class SimScenario:
     """One emitter/receiver configuration to simulate.
 
+    Construction checks it with :meth:`validate`.
+
     Parameters
     ----------
     cfg : ArrayConfig
@@ -51,7 +53,7 @@ class SimScenario:
         ``(-pi/2, pi/2)``.
     snr_db : float
         Per-element SNR in dB.  ``inf`` yields a noiseless simulation;
-        NaN and ``-inf`` are rejected by :meth:`validate`.
+        NaN and ``-inf`` are rejected.
     snapshots : int
         Number of snapshots ``T``.
     seed : int
@@ -64,20 +66,22 @@ class SimScenario:
     snapshots: int
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     @property
     def noise_variance(self) -> float:
         return float(10.0 ** (-self.snr_db / 10.0))
 
     def validate(self) -> "SimScenario":
-        validate_config(self.cfg)
         if not abs(self.theta0) < np.pi / 2:
-            raise ValueError(
+            raise ConfigError(
                 f"theta0={self.theta0} rad must satisfy |theta0| < pi/2"
             )
         if self.snapshots < 1:
-            raise ValueError(f"snapshots={self.snapshots} must be >= 1")
+            raise ConfigError(f"snapshots={self.snapshots} must be >= 1")
         if not self.snr_db > -np.inf:
-            raise ValueError(f"snr_db={self.snr_db} must be a number or +inf")
+            raise ConfigError(f"snr_db={self.snr_db} must be a number or +inf")
         return self
 
 
@@ -140,7 +144,6 @@ def simulate_group(
     GroupSnapshots
         ``data[k, n]`` is subarray ``k`` of group ``q`` at snapshot ``n``.
     """
-    scenario.validate()
     geom = scenario.cfg.group(q)
     gain = gain_coefficient(geom, scenario.theta0)
     steer = virtual_steering(geom, scenario.theta0)
@@ -166,7 +169,6 @@ def exact_covariance(scenario: SimScenario, q: int) -> np.ndarray:
     ``(1/M_q)|e_q|^2 a a^H + sigma_v^2 I`` with unit signal power; its
     trace is ``K_q * (|e_q|^2 / M_q + sigma_v^2)``.
     """
-    scenario.validate()
     geom = scenario.cfg.group(q)
     gain = gain_coefficient(geom, scenario.theta0)
     steer = virtual_steering(geom, scenario.theta0)

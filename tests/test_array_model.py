@@ -70,13 +70,12 @@ def test_coprime_fuzz():
         coprime = all(
             math.gcd(m[i], m[j]) == 1 for i in range(3) for j in range(i + 1, 3)
         )
-        cfg = ArrayConfig(M=m, K=(4, 4, 4))
         if coprime:
-            validate_config(cfg)
+            validate_config(ArrayConfig(M=m, K=(4, 4, 4)))
             accepted += 1
         else:
             with pytest.raises(NonCoprimeError):
-                validate_config(cfg)
+                validate_config(ArrayConfig(M=m, K=(4, 4, 4)))
     assert accepted > 30  # the draw actually exercises both branches
 
 

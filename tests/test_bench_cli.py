@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from h2ad_doa import bench, mbdnn
-from h2ad_doa.array_model import ArrayConfig, save_config
+from h2ad_doa.array_model import ArrayConfig, ConfigError, save_config
 from h2ad_doa.bench import (
     CSV_HEADER,
     BenchSpec,
@@ -49,6 +49,15 @@ def test_spec_validation():
         tiny_spec(snr_grid=()).validate()
     with pytest.raises(ValueError):
         tiny_spec(methods=("mbdnn",)).validate()  # needs model_path
+    # grid points that no scenario can take are rejected before any trial
+    with pytest.raises(ConfigError, match="snapshots"):
+        tiny_spec(snapshot_grid=(0,))
+    with pytest.raises(ConfigError, match="snr_db"):
+        tiny_spec(snr_grid=(math.nan,))
+    with pytest.raises(ConfigError, match="snr_db"):
+        tiny_spec(snr_grid=(-math.inf,))
+    with pytest.raises(ConfigError, match="subarray count"):
+        tiny_spec(k_grid=(16, 1))
 
 
 def test_run_sweep_row_grid():
@@ -290,3 +299,32 @@ def test_cli_bench_csv_and_plot_data(cfg_file, tmp_path, capsys):
 def test_cli_bench_rejects_bad_method(cfg_file):
     assert cli_main(["bench", "--config", cfg_file, "--methods", "magic",
                      "--trials", "1"]) == 2
+
+
+_ONE_CELL = ["--snr-min", "10", "--snr-max", "10", "--trials", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["bench", "--snapshot-grid", "0", "--trials", "1"], "snapshots"),
+        (["bench", "--snr-grid=-inf", "--trials", "1"], "snr_db"),
+        (["bench", "--snr-grid", "nan,10", "--trials", "1"], "snr_db"),
+        (["dataset", "--theta-min", "-90", "--theta-max", "90",
+          "--theta-step", "90", *_ONE_CELL], "theta0"),
+        (["dataset", "--snapshots", "0", "--theta-step", "30", *_ONE_CELL],
+         "snapshots"),
+        (["estimate", "--snapshots", "0"], "snapshots"),
+        (["estimate", "--theta0-deg", "95"], "theta0"),
+    ],
+    ids=["bench-T0", "bench-snr-neginf", "bench-snr-nan", "dataset-endfire",
+         "dataset-T0", "estimate-T0", "estimate-theta95"],
+)
+def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field):
+    # rejected at construction: exit 2 naming the field, and no output file
+    out = str(tmp_path / "out")
+    flag = "--dump-candidates" if argv[0] == "estimate" else "--out"
+    assert cli_main([argv[0], "--config", cfg_file, *argv[1:], flag, out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

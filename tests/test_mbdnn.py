@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from h2ad_doa import mbdnn
-from h2ad_doa.array_model import ArrayConfig
+from h2ad_doa.array_model import ArrayConfig, ConfigError
 from h2ad_doa.fusion import GroupFailureError, group_candidates
 from h2ad_doa.mbdnn import (
     BadMagicError,
@@ -267,6 +267,14 @@ def test_generate_dataset_counts_skips(monkeypatch):
                           trials_per_cell=9, snapshots=50, master_seed=7)
     assert ds.skipped == 3
     assert len(ds) == 6
+
+
+@pytest.mark.parametrize("theta_deg", [-90.0, 90.0])
+def test_generate_dataset_rejects_endfire_angle(theta_deg):
+    # an invalid cell is a configuration error, not a skipped trial
+    with pytest.raises(ConfigError, match="theta0"):
+        generate_dataset(BASE_CFG, thetas_deg=[theta_deg], snrs_db=[10.0],
+                         trials_per_cell=1, snapshots=32)
 
 
 def test_dataset_csv_round_trip(tmp_path):
