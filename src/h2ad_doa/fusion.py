@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .array_model import ArrayConfig, gain_coefficient, position_weighted_gain
-from .signal_sim import SimScenario, simulate_group, sample_covariance
+from .signal_sim import SimScenario, check_operating_point, simulate_group, sample_covariance
 from .subspace import CandidateSet, enumerate_candidates, noise_subspace, root_music_phase
 
 #: The exact CRLB is trusted only this far off broadside (radians).
@@ -162,7 +162,9 @@ def crlb_group_exact(
     (radians) and per-element SNR ``snr_db``, with the snapshot count as
     the observation length.  Valid for ``|theta0|`` under the 70 degree
     guard; beyond it the bound's small-error assumptions are off.
+    ``snapshots < 1`` and a NaN or ``-inf`` SNR raise ``ConfigError``.
     """
+    check_operating_point(snr_db, snapshots)
     _guard_angle(theta0)
     geom = cfg.group(q)
     m_q = geom.subarray_size
@@ -195,6 +197,7 @@ def crlb_group_approx(
     ``1/M_q^2`` so that the approximate bound ratio between groups is
     exactly ``M_1^2 / M_q^2``.
     """
+    check_operating_point(snr_db, snapshots)
     _guard_angle(theta0)
     geom = cfg.group(q)
     k_q = geom.num_subarrays
@@ -250,7 +253,8 @@ def fused_crlb(
 
     The fused bound ``1 / sum(1/CRLB_q)`` is the error floor of any
     convex combination of unbiased group estimates; it never exceeds the
-    smallest per-group bound.
+    smallest per-group bound.  Inputs are checked as in
+    :func:`crlb_group_exact`.
     """
     per_group = tuple(
         crlb_group_exact(cfg, q, theta0, snr_db, snapshots)

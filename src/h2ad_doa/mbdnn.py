@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -393,41 +393,40 @@ def generate_dataset(
 ) -> Dataset:
     """Run the front end over a (theta, snr) grid and collect samples.
 
+    Every cell's scenario is built before the first trial, so an invalid
+    angle, SNR or snapshot count raises ``ConfigError`` before any work.
     Cells where any group's subspace collapses are skipped and counted,
     not imputed.  Deterministic for a given master seed.
     """
     spec = MlpSpec.from_config(cfg)
+    offsets = spec.feature_offsets()
+    cells = [
+        (ti, si, float(theta_deg),
+         SimScenario(cfg=cfg, theta0=math.radians(float(theta_deg)), snr_db=float(snr),
+                     snapshots=snapshots))
+        for ti, theta_deg in enumerate(thetas_deg)
+        for si, snr in enumerate(snrs_db)
+    ]
     features, label_tuple, label_theta, snr_col = [], [], [], []
     skipped = 0
-    for ti, theta_deg in enumerate(thetas_deg):
-        theta = math.radians(float(theta_deg))
-        for si, snr in enumerate(snrs_db):
-            for trial in range(trials_per_cell):
-                scenario = SimScenario(
-                    cfg=cfg,
-                    theta0=theta,
-                    snr_db=float(snr),
-                    snapshots=snapshots,
-                    seed=derive_seed(master_seed, ti, si, trial),
-                )
-                try:
-                    sets = group_candidates(scenario)
-                except GroupFailureError:
-                    skipped += 1
-                    continue
-                row = features_from_candidates(spec, sets)
-                features.append(row)
-                offsets = spec.feature_offsets()
-                label_tuple.append(
-                    [
-                        row[off: off + m][
-                            np.argmin(np.abs(row[off: off + m] - theta_deg))
-                        ]
-                        for off, m in zip(offsets, spec.M)
-                    ]
-                )
-                label_theta.append(float(theta_deg))
-                snr_col.append(float(snr))
+    for ti, si, theta_deg, cell in cells:
+        for trial in range(trials_per_cell):
+            scenario = replace(cell, seed=derive_seed(master_seed, ti, si, trial))
+            try:
+                sets = group_candidates(scenario)
+            except GroupFailureError:
+                skipped += 1
+                continue
+            row = features_from_candidates(spec, sets)
+            features.append(row)
+            label_tuple.append(
+                [
+                    row[off: off + m][np.argmin(np.abs(row[off: off + m] - theta_deg))]
+                    for off, m in zip(offsets, spec.M)
+                ]
+            )
+            label_theta.append(theta_deg)
+            snr_col.append(cell.snr_db)
     if skipped:
         logger.info("dataset generation skipped %d failed trials", skipped)
     return Dataset(

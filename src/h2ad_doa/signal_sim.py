@@ -39,6 +39,20 @@ class SnapshotFormatError(IOError):
     """A snapshot file that cannot be parsed."""
 
 
+def check_operating_point(snr_db: float, snapshots: int) -> None:
+    """Reject a snapshot count below one and an SNR that is NaN or -inf.
+
+    Raises
+    ------
+    ConfigError
+        Naming the offending field.
+    """
+    if snapshots < 1:
+        raise ConfigError(f"snapshots={snapshots} must be >= 1")
+    if not snr_db > -np.inf:
+        raise ConfigError(f"snr_db={snr_db} must be a number or +inf")
+
+
 @dataclass(frozen=True)
 class SimScenario:
     """One emitter/receiver configuration to simulate.
@@ -78,10 +92,7 @@ class SimScenario:
             raise ConfigError(
                 f"theta0={self.theta0} rad must satisfy |theta0| < pi/2"
             )
-        if self.snapshots < 1:
-            raise ConfigError(f"snapshots={self.snapshots} must be >= 1")
-        if not self.snr_db > -np.inf:
-            raise ConfigError(f"snr_db={self.snr_db} must be a number or +inf")
+        check_operating_point(self.snr_db, self.snapshots)
         return self
 
 

@@ -19,6 +19,21 @@ root competes with it.  Whenever Newton or the certificate fails, the
 ``np.roots`` (0.85 against 1.21 ms per fit at -5/0/10 dB); at degree 30
 the two cost the same, so every ``K_q <= 16`` group keeps the
 ``np.roots`` result bit for bit.
+
+The polynomial has two builds.  Below degree ``_CERTIFIED_MIN_DEGREE``
+its coefficients are the diagonal sums of ``U U^H``, ``U`` the noise
+basis.  From that degree on they come from the signal eigenvector
+``v`` alone: with one emitter ``U U^H = I - v v^H``, so coefficient
+``l`` is ``K_q * delta_l`` minus the lag-``l`` autocorrelation of ``v``,
+one O(K_q^2) correlation in place of a K_q x K_q product and
+``2K_q - 1`` traces.  The two builds agree to rounding (within
+``1e-12 * K_q`` in the tests).
+
+A certificate that fails still costs its samples, so the
+argument-principle counts of one fit share a budget of
+``4 * degree**2`` FFT samples (:func:`_certificate_points`): about half
+of what ``np.roots`` costs at that degree.  A count that would exceed
+the budget is given up, and ``np.roots`` decides.
 """
 
 from __future__ import annotations
@@ -45,9 +60,6 @@ _CIRCLE_SLACK = 1e-9
 #: module docstring for the measured crossover).
 _CERTIFIED_MIN_DEGREE = 34
 
-#: Largest FFT grid of one argument-principle count.
-_CERTIFICATE_MAX_POINTS = 8192
-
 _NEWTON_MAX_STEPS = 50
 _NEWTON_TOL = 1e-13
 _EPS = float(np.finfo(float).eps)
@@ -63,12 +75,18 @@ class NoRootFoundError(RuntimeError):
 
 @dataclass(frozen=True)
 class NoiseSubspace:
-    """Noise-subspace basis of one group's covariance.
+    """Signal and noise eigenvectors of one group's covariance.
 
     Attributes
     ----------
     basis : ndarray, shape (K_q, K_q - 1)
-        Orthonormal eigenvectors spanning the noise subspace.
+        Orthonormal eigenvectors spanning the noise subspace.  The
+        root-MUSIC polynomial is built from it below degree
+        ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``).
+    signal : ndarray, shape (K_q,)
+        Unit eigenvector of the largest eigenvalue, orthogonal to
+        ``basis``.  From ``K_q = 18`` on the polynomial is built from it,
+        since ``basis @ basis^H = I - signal signal^H``.
     leading_eigenvalue : float
         Largest eigenvalue (the signal eigenvalue).
     noise_floor : float
@@ -76,6 +94,7 @@ class NoiseSubspace:
     """
 
     basis: np.ndarray
+    signal: np.ndarray
     leading_eigenvalue: float
     noise_floor: float
 
@@ -122,6 +141,7 @@ def noise_subspace(cov: np.ndarray) -> NoiseSubspace:
         )
     return NoiseSubspace(
         basis=eigenvectors[:, 1:],
+        signal=eigenvectors[:, 0],
         leading_eigenvalue=float(lead),
         noise_floor=float(np.mean(eigenvalues[1:])),
     )
@@ -133,10 +153,16 @@ def _root_polynomial(ns: NoiseSubspace) -> np.ndarray:
     With ``F = U U^H``, the quadratic form ``a(z)^H F a(z)`` collapses to
     ``sum_l c_l z^l`` where ``c_l`` is the sum of the l-th diagonal of
     ``F``; multiplying by ``z^(K-1)`` gives a degree ``2(K-1)``
-    polynomial whose unit-circle roots are the MUSIC nulls.
+    polynomial whose unit-circle roots are the MUSIC nulls.  From degree
+    ``_CERTIFIED_MIN_DEGREE`` on, ``F = I - v v^H`` with ``v`` the signal
+    eigenvector, and ``c`` is ``-correlate(v, v)`` plus ``K`` at lag 0.
     """
+    k = ns.basis.shape[0]
+    if 2 * (k - 1) >= _CERTIFIED_MIN_DEGREE:
+        coeffs = -np.correlate(ns.signal, ns.signal, "full")
+        coeffs[k - 1] += k
+        return coeffs
     f = ns.basis @ ns.basis.conj().T
-    k = f.shape[0]
     return np.array([np.trace(f, offset=off) for off in range(k - 1, -k, -1)])
 
 
@@ -150,15 +176,16 @@ def root_music_phase(ns: NoiseSubspace, geom: GroupGeometry) -> float:
 
     Below degree ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``) the polynomial
     is rooted with ``np.roots``, an O(K_q^3) companion-matrix
-    eigensolve.  From that degree on, the signal root is found alone:
+    eigensolve.  From that degree on, the polynomial is built from the
+    signal eigenvector and the signal root is found alone:
     Newton iteration from the minimum of the FFT-evaluated spectrum,
     then an argument-principle certificate that it is the only root
     with modulus in ``[rho - ROOT_TIE_TOL, 1 + _CIRCLE_SLACK]`` (see
     :func:`_certified_signal_phase`).  When Newton does not converge,
     the root lies too close to the unit circle (noiseless double roots
     lie on it), or the certificate cannot resolve its counts within
-    ``_CERTIFICATE_MAX_POINTS`` samples, the ``np.roots`` selection runs
-    unchanged, so its result is the same to the bit.  A certified phase
+    :func:`_certificate_points` samples, ``np.roots`` runs on the same
+    coefficients, so its result is the same to the bit.  A certified phase
     agrees with the ``np.roots`` one to rounding (below 1e-13 rad in the
     tests).
 
@@ -214,7 +241,8 @@ def _certified_signal_phase(coeffs: np.ndarray) -> float | None:
     select it without a tie.  ``depth`` is ``gap`` or, when a noise root
     lies in between, ``gap/4``.  The circles pass ``gap`` and ``depth``
     from ``z``, and a count there needs about ``8/gap`` and ``8/depth``
-    samples, so the grid cap sends gaps below about 1e-3 to
+    samples; the counts share the budget of :func:`_certificate_points`,
+    so gaps below about 4e-3 at degree 34 (5e-4 at degree 126) go to
     ``np.roots``.
     """
     asc = coeffs[::-1]
@@ -228,12 +256,27 @@ def _certified_signal_phase(coeffs: np.ndarray) -> float | None:
     if not 1e-9 < gap < 0.5:
         return None
     half = (asc.size - 1) // 2
-    if _root_count(asc, 1.0 + 2.0 * _CIRCLE_SLACK, gap) != half:
+    count, points = _root_count(asc, 1.0 + 2.0 * _CIRCLE_SLACK, gap,
+                                _certificate_points(asc.size - 1))
+    if count != half:
         return None
     for depth in (gap, 0.25 * gap):
-        if _root_count(asc, rho - depth, depth) == half - 1:
+        count, points = _root_count(asc, rho - depth, depth, points)
+        if count == half - 1:
             return float(np.angle(z))
     return None
+
+
+def _certificate_points(degree: int) -> int:
+    """FFT samples the root counts of one certificate may spend together.
+
+    ``np.roots`` costs about ``0.5 us * degree**2`` from degree 34
+    (0.46 ms) to 126 (10 ms), and a winding count about 60 ns per sample
+    on the grids where the budget binds, so ``4 * degree**2`` samples
+    cost about half of ``np.roots``.  Every 0 dB fit at ``K_q = 64``
+    needed at most 3072 of its 63504.
+    """
+    return 4 * degree * degree
 
 
 def _spectrum_minimum(asc: np.ndarray) -> complex:
@@ -275,21 +318,25 @@ def _newton_root(asc: np.ndarray, z: complex) -> complex | None:
     return None
 
 
-def _root_count(asc: np.ndarray, radius: float, clearance: float) -> int | None:
-    """Roots of ``sum_m asc[m] z^m`` inside ``|z| = radius``, or None.
+def _root_count(
+    asc: np.ndarray, radius: float, clearance: float, points: int
+) -> tuple[int | None, int]:
+    """Roots of ``sum_m asc[m] z^m`` inside ``|z| = radius`` (or None),
+    and the samples left of ``points``.
 
     ``clearance`` is the expected distance from the circle to the
     nearest root; ``|p|`` bends on that scale there, so the grid starts
     near ``8 / clearance`` points and doubles until the winding number
-    is resolved, up to ``_CERTIFICATE_MAX_POINTS``.
+    is resolved or the next grid would take more than ``points`` samples.
     """
     size = _pow2(max(2 * asc.size, 8.0 / clearance))
-    while size <= _CERTIFICATE_MAX_POINTS:
+    while size <= points:
         count = _winding_number(asc, radius, size)
+        points -= size
         if count is not None:
-            return count
+            return count, points
         size *= 2
-    return None
+    return None, points
 
 
 def _winding_number(asc: np.ndarray, radius: float, size: int) -> int | None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2ad_doa.array_model import ArrayConfig
+from h2ad_doa.array_model import ArrayConfig, ConfigError
 from h2ad_doa.fusion import (
     AngleOutOfGuardError,
     GroupFailureError,
@@ -166,6 +166,23 @@ def test_crlb_guard_region(fn):
     with pytest.raises(AngleOutOfGuardError):
         fn(BASE_CFG, 0, math.radians(75.0), 0.0, 200)
     fn(BASE_CFG, 0, math.radians(69.9), 0.0, 200)
+
+
+@pytest.mark.parametrize("snr_db, snapshots, field", [
+    (0.0, 0, "snapshots"),
+    (0.0, -3, "snapshots"),
+    (-math.inf, 200, "snr_db"),
+    (math.nan, 200, "snr_db"),
+])
+@pytest.mark.parametrize("fn", [
+    lambda snr, t: fused_crlb(BASE_CFG, 0.7, snr, t),
+    lambda snr, t: crlb_group_exact(BASE_CFG, 0, 0.7, snr, t),
+    lambda snr, t: crlb_group_approx(BASE_CFG, 0, 0.7, snr, t),
+], ids=["fused_crlb", "crlb_group_exact", "crlb_group_approx"])
+def test_crlb_rejects_invalid_operating_point(fn, snr_db, snapshots, field):
+    # previously a ZeroDivisionError, an infinite bound or a NaN bound
+    with pytest.raises(ConfigError, match=field):
+        fn(snr_db, snapshots)
 
 
 def test_weights_exact_inverse_crlb():

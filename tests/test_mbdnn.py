@@ -277,6 +277,20 @@ def test_generate_dataset_rejects_endfire_angle(theta_deg):
                          trials_per_cell=1, snapshots=32)
 
 
+@pytest.mark.parametrize("thetas_deg, snrs_db, field", [
+    ([10.0, 20.0, 90.0], [10.0], "theta0"),
+    ([10.0, 20.0], [10.0, math.nan], "snr_db"),
+])
+def test_generate_dataset_checks_every_cell_before_any_trial(monkeypatch, thetas_deg,
+                                                             snrs_db, field):
+    calls = []
+    monkeypatch.setattr(mbdnn, "group_candidates", lambda sc: calls.append(sc))
+    with pytest.raises(ConfigError, match=field):
+        generate_dataset(BASE_CFG, thetas_deg=thetas_deg, snrs_db=snrs_db,
+                         trials_per_cell=2, snapshots=32)
+    assert calls == []
+
+
 def test_dataset_csv_round_trip(tmp_path):
     ds = random_dataset(10, seed=5)
     path = tmp_path / "ds.csv"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2ad_doa import subspace
 from h2ad_doa.array_model import ArrayConfig, virtual_steering
@@ -12,6 +14,7 @@ from h2ad_doa.subspace import (
     DegenerateSpectrumError,
     NoiseSubspace,
     NoRootFoundError,
+    _certificate_points,
     _certified_signal_phase,
     _newton_root,
     _np_roots_phase,
@@ -77,6 +80,27 @@ def test_root_polynomial_conjugate_reciprocal_roots():
         assert np.min(np.abs(mirrored - r)) < 1e-6
 
 
+def trace_polynomial(ns):
+    """The ``U U^H`` diagonal-sum build, highest degree first."""
+    f = ns.basis @ ns.basis.conj().T
+    k = f.shape[0]
+    return np.array([np.trace(f, offset=off) for off in range(k - 1, -k, -1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(18, 64), spike=st.floats(0.0, 100.0), seed=st.integers(0, 2**32 - 1))
+def test_signal_eigenvector_build_matches_trace_build(k, spike, seed):
+    # any Hermitian covariance, with or without a dominant direction
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    cov = a @ a.conj().T / k + spike * np.outer(v, v.conj()) / k
+    ns = noise_subspace(cov)
+    coeffs = _root_polynomial(ns)
+    assert coeffs.shape == (2 * k - 1,)
+    assert np.max(np.abs(coeffs - trace_polynomial(ns))) <= 1e-12 * k
+
+
 @pytest.mark.parametrize("q,m", [(0, 7), (1, 11), (2, 13)])
 def test_root_phase_on_exact_covariance(q, m):
     phase = root_music_phase(exact_ns(q), BASE_CFG.group(q))
@@ -99,6 +123,7 @@ def test_root_phase_scale_invariant():
 
 def test_no_root_on_zero_basis():
     ns = NoiseSubspace(basis=np.zeros((4, 3), dtype=complex),
+                       signal=np.zeros(4, dtype=complex),
                        leading_eigenvalue=1.0, noise_floor=0.1)
     with pytest.raises(NoRootFoundError):
         root_music_phase(ns, BASE_CFG.group(0))
@@ -106,6 +131,7 @@ def test_no_root_on_zero_basis():
 
 def test_no_root_when_only_origin():
     ns = NoiseSubspace(basis=np.array([[1.0], [0.0]], dtype=complex),
+                       signal=np.array([0.0, 1.0], dtype=complex),
                        leading_eigenvalue=1.0, noise_floor=0.1)
     with pytest.raises(NoRootFoundError):
         root_music_phase(ns, BASE_CFG.group(0))
@@ -184,6 +210,52 @@ def test_certified_phase_agrees_with_np_roots_fuzz():
     assert certified >= 60 and fallback >= 10
 
 
+def sampled_sizes(monkeypatch):
+    sizes = []
+    winding = subspace._winding_number
+
+    def counting(asc, radius, size):
+        sizes.append(size)
+        return winding(asc, radius, size)
+
+    monkeypatch.setattr(subspace, "_winding_number", counting)
+    return sizes
+
+
+def test_failed_certificate_stays_within_point_budget(monkeypatch):
+    # at -15 dB most K=18 fits fall back; the counts of each failed
+    # certificate together sample at most _certificate_points(34)
+    sizes = sampled_sizes(monkeypatch)
+    cfg = ArrayConfig(M=(11, 13, 17), K=(18, 18, 18))
+    limit = _certificate_points(_CERTIFIED_MIN_DEGREE)
+    spent = []
+    for seed in range(40):
+        sc = scenario(cfg=cfg, snr_db=-15.0, seed=seed)
+        coeffs = _root_polynomial(noise_subspace(sample_covariance(simulate_group(sc, seed % 3))))
+        assert coeffs.size - 1 == _CERTIFIED_MIN_DEGREE
+        sizes.clear()
+        if _certified_signal_phase(coeffs) is None:
+            spent.append(sum(sizes))
+    assert len(spent) >= 30 and max(spent) > 0
+    assert max(spent) <= limit
+
+
+def test_certificate_declines_grid_beyond_budget(monkeypatch):
+    # Newton finds a signal root 1e-3 inside the circle, whose first count
+    # needs 8192 samples, more than degree 34 allows: nothing is sampled
+    # and np.roots decides
+    roots = [0.999 * np.exp(0.7j)] + [0.3 * np.exp(2j * np.pi * i / 16) for i in range(16)]
+    coeffs = reciprocal_polynomial(roots)
+    asc = coeffs[::-1]
+    assert abs(_newton_root(asc, _spectrum_minimum(asc)) - roots[0]) < 1e-9
+    assert coeffs.size - 1 == _CERTIFIED_MIN_DEGREE
+    assert _certificate_points(_CERTIFIED_MIN_DEGREE) < 8192
+    sizes = sampled_sizes(monkeypatch)
+    assert _certified_signal_phase(coeffs) is None
+    assert sizes == []
+    assert wrapped(_np_roots_phase(coeffs), 0.7) < 1e-9
+
+
 def reciprocal_polynomial(roots):
     """Coefficients (highest first) with a root pair z, 1/conj(z) per entry."""
     coeffs = np.array([1.0 + 0j])
@@ -222,6 +294,7 @@ def test_certificate_rejects_newton_decoy(monkeypatch, decoy_modulus, target_mod
     assert wrapped(reference, 2.0) < 1e-9
     monkeypatch.setattr(subspace, "_root_polynomial", lambda ns: coeffs)
     ns = NoiseSubspace(basis=np.zeros((18, 17), dtype=complex),
+                       signal=np.zeros(18, dtype=complex),
                        leading_eigenvalue=1.0, noise_floor=0.1)
     assert root_music_phase(ns, BASE_CFG.group(0)) == reference
 
