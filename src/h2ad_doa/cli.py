@@ -125,12 +125,12 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_config(args.config)
+    spec = mbdnn.MlpSpec.from_config(load_config(args.config))
     dataset = mbdnn.Dataset.load_csv(args.dataset)
     if args.model_in:
         model = mbdnn.load_model(args.model_in)
     else:
-        model = mbdnn.init_model(mbdnn.MlpSpec.from_config(cfg), seed=args.seed)
+        model = mbdnn.init_model(spec, seed=args.seed)
     stages = ("mb_fcnn", "fusion_net") if args.stage == "all" else (args.stage,)
     for stage in stages:
         train_cfg = mbdnn.TrainConfig(

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig
+from .array_model import ArrayConfig, ConfigError
 from .fusion import GroupFailureError, group_candidates
 from .signal_sim import SimScenario, derive_seed
 from .subspace import CandidateSet
@@ -77,6 +77,20 @@ class MlpSpec:
 
     @classmethod
     def from_config(cls, cfg: ArrayConfig) -> "MlpSpec":
+        """Layout for ``cfg``, whose groups must give ``M_q`` candidates each.
+
+        Raises
+        ------
+        ConfigError
+            Unless ``d_over_lambda`` is 0.5: a closer spacing gives a
+            group fewer than ``M_q`` candidates, which breaks the
+            feature layout.
+        """
+        if cfg.d_over_lambda != 0.5:
+            raise ConfigError(
+                f"d_over_lambda={cfg.d_over_lambda} must be 0.5 for the MLP: "
+                "only half-wavelength spacing gives each group M_q candidates"
+            )
         return cls(M=tuple(int(m) for m in cfg.M))
 
     @property
@@ -393,8 +407,10 @@ def generate_dataset(
 ) -> Dataset:
     """Run the front end over a (theta, snr) grid and collect samples.
 
-    Every cell's scenario is built before the first trial, so an invalid
-    angle, SNR or snapshot count raises ``ConfigError`` before any work.
+    The layout check (:meth:`MlpSpec.from_config`) and every cell's
+    scenario come before the first trial, so a spacing other than half a
+    wavelength, or an invalid angle, SNR or snapshot count, raises
+    ``ConfigError`` before any work.
     Cells where any group's subspace collapses are skipped and counted,
     not imputed.  Deterministic for a given master seed.
     """

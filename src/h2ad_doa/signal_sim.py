@@ -128,17 +128,26 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    """Unit-variance circular complex Gaussian draws, (g1 + j*g2)/sqrt(2)."""
-    g1 = rng.standard_normal(shape)
-    g2 = rng.standard_normal(shape)
-    return (g1 + 1j * g2) / np.sqrt(2.0)
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Unit-variance circular complex Gaussian draws, (g1 + j*g2)/sqrt(2).
+
+    ``g1`` and ``g2`` are one draw of shape ``(2, *shape)``, the same
+    stream as two draws of ``shape``.  Complex division by ``sqrt(2)``
+    multiplies each part by ``1/sqrt(2)``, so scaling the parts straight
+    into the complex result gives the same bits with no temporaries.
+    """
+    g = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=complex)
+    scale = 1.0 / np.sqrt(2.0)
+    np.multiply(g[0], scale, out=out.real)
+    np.multiply(g[1], scale, out=out.imag)
+    return out
 
 
 def emitter_waveform(scenario: SimScenario) -> np.ndarray:
     """The scenario's emitter samples ``x(n)``, shared by all groups."""
     rng = _stream(scenario.seed, _EMITTER_STREAM)
-    return _complex_normal(rng, scenario.snapshots)
+    return _complex_normal(rng, (scenario.snapshots,))
 
 
 def simulate_group(
@@ -163,15 +172,23 @@ def simulate_group(
     noise = _complex_normal(rng, (geom.num_subarrays, scenario.snapshots))
     sigma_v = np.sqrt(scenario.noise_variance)
     amplitude = signal_scale * gain / np.sqrt(geom.subarray_size)
-    data = amplitude * np.outer(steer, x) + sigma_v * noise
+    # amplitude * outer(steer, x) + sigma_v * noise, in place; the scalar
+    # stays the first operand, which selects the same complex-multiply loop
+    data = np.outer(steer, x)
+    np.multiply(amplitude, data, out=data)
+    np.multiply(sigma_v, noise, out=noise)
+    data += noise
     return GroupSnapshots(group_index=q, data=data)
 
 
 def sample_covariance(snap: GroupSnapshots) -> np.ndarray:
     """Sample covariance ``(1/T) * S @ S^H``, forced exactly Hermitian."""
     s = snap.data
-    r = s @ s.conj().T / snap.snapshots
-    return (r + r.conj().T) / 2.0
+    r = s @ s.conj().T
+    r /= snap.snapshots
+    r += r.conj().T
+    r /= 2.0
+    return r
 
 
 def exact_covariance(scenario: SimScenario, q: int) -> np.ndarray:

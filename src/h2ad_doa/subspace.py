@@ -34,16 +34,27 @@ argument-principle counts of one fit share a budget of
 ``4 * degree**2`` FFT samples (:func:`_certificate_points`): about half
 of what ``np.roots`` costs at that degree.  A count that would exceed
 the budget is given up, and ``np.roots`` decides.
+
+The eigenpair has two paths on the same switch.  Below ``K_q = 18``
+:func:`noise_subspace` runs one ``np.linalg.eigh`` and keeps the noise
+basis.  From ``K_q = 18`` on, where only the signal eigenvector is read,
+it takes the eigenvalues from ``np.linalg.eigvalsh`` and the signal
+eigenvector from one inverse-iteration step shifted by the largest
+eigenvalue (0.47 against 0.70-0.98 ms per group at ``K_q = 64``).  A
+residual certificate (Davis-Kahan) accepts that vector only if it lies
+within an angle of ``1e-12`` of the true one; otherwise the ``eigh``
+path runs, so its result is the same to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import GroupGeometry, gain_coefficient, virtual_steering
+from .array_model import GroupGeometry
 
 #: Two eigenvalues closer than this (relative) leave no usable signal subspace.
 DEGENERACY_RTOL = 1e-9
@@ -59,6 +70,10 @@ _CIRCLE_SLACK = 1e-9
 #: signal root alone instead of rooting the whole polynomial (see the
 #: module docstring for the measured crossover).
 _CERTIFIED_MIN_DEGREE = 34
+
+#: Largest certified sine of the angle between the inverse-iteration
+#: eigenvector and the true signal eigenvector (see _leading_eigenvector).
+_EIGENVECTOR_SIN_TOL = 1e-12
 
 _NEWTON_MAX_STEPS = 50
 _NEWTON_TOL = 1e-13
@@ -79,21 +94,24 @@ class NoiseSubspace:
 
     Attributes
     ----------
-    basis : ndarray, shape (K_q, K_q - 1)
+    basis : ndarray, shape (K_q, K_q - 1), or None
         Orthonormal eigenvectors spanning the noise subspace.  The
         root-MUSIC polynomial is built from it below degree
-        ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``).
+        ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``).  From ``K_q = 18`` on
+        nothing reads it, and it is None.
     signal : ndarray, shape (K_q,)
-        Unit eigenvector of the largest eigenvalue, orthogonal to
-        ``basis``.  From ``K_q = 18`` on the polynomial is built from it,
-        since ``basis @ basis^H = I - signal signal^H``.
+        Unit eigenvector of the largest eigenvalue, orthogonal to the
+        noise subspace.  From ``K_q = 18`` on the polynomial is built
+        from it, since ``basis @ basis^H = I - signal signal^H``, and it
+        comes from one certified inverse-iteration step (see
+        :func:`noise_subspace`).
     leading_eigenvalue : float
         Largest eigenvalue (the signal eigenvalue).
     noise_floor : float
         Mean of the trailing ``K_q - 1`` eigenvalues.
     """
 
-    basis: np.ndarray
+    basis: np.ndarray | None
     signal: np.ndarray
     leading_eigenvalue: float
     noise_floor: float
@@ -120,6 +138,15 @@ def noise_subspace(cov: np.ndarray) -> NoiseSubspace:
     the noise basis is the trailing ``K_q - 1`` eigenvectors in
     descending eigenvalue order.
 
+    Below ``K_q = 18`` one ``np.linalg.eigh`` gives every eigenpair.
+    From ``K_q = 18`` on (polynomial degree ``_CERTIFIED_MIN_DEGREE``),
+    where root-MUSIC reads only the signal eigenvector, the eigenvalues
+    come from ``np.linalg.eigvalsh`` and the signal eigenvector from one
+    inverse-iteration step, accepted only under a residual certificate
+    (:func:`_leading_eigenvector`).  When the certificate fails, the
+    ``eigh`` path runs unchanged, so its result is the same to the bit;
+    ``basis`` is None from ``K_q = 18`` on either way.
+
     Raises
     ------
     DegenerateSpectrumError
@@ -130,21 +157,78 @@ def noise_subspace(cov: np.ndarray) -> NoiseSubspace:
         raise ValueError(f"covariance must be square, got {cov.shape}")
     if cov.shape[0] < 2:
         raise ValueError("need at least two subarrays for a noise subspace")
+    signal_only = 2 * (cov.shape[0] - 1) >= _CERTIFIED_MIN_DEGREE
+    if signal_only:
+        eigenvalues = np.linalg.eigvalsh(cov)
+        lead, second = eigenvalues[-1], eigenvalues[-2]
+        _check_separable(lead, second)
+        signal = _leading_eigenvector(cov, lead, second)
+        if signal is not None:
+            return NoiseSubspace(
+                basis=None,
+                signal=signal,
+                leading_eigenvalue=float(lead),
+                noise_floor=float(np.mean(eigenvalues[:-1])),
+            )
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
     # eigh sorts ascending; flip to descending.
     eigenvalues = eigenvalues[::-1]
     eigenvectors = eigenvectors[:, ::-1]
-    lead, second = eigenvalues[0], eigenvalues[1]
+    _check_separable(eigenvalues[0], eigenvalues[1])
+    return NoiseSubspace(
+        basis=None if signal_only else eigenvectors[:, 1:],
+        signal=eigenvectors[:, 0],
+        leading_eigenvalue=float(eigenvalues[0]),
+        noise_floor=float(np.mean(eigenvalues[1:])),
+    )
+
+
+def _check_separable(lead: float, second: float) -> None:
     if lead - second <= DEGENERACY_RTOL * max(abs(lead), np.finfo(float).tiny):
         raise DegenerateSpectrumError(
             f"leading eigenvalues {lead:.6e} and {second:.6e} are not separable"
         )
-    return NoiseSubspace(
-        basis=eigenvectors[:, 1:],
-        signal=eigenvectors[:, 0],
-        leading_eigenvalue=float(lead),
-        noise_floor=float(np.mean(eigenvalues[1:])),
-    )
+
+
+def _leading_eigenvector(
+    cov: np.ndarray, lead: float, second: float
+) -> np.ndarray | None:
+    """Unit eigenvector of ``lead`` by one inverse-iteration step, or None.
+
+    Solves ``(cov - lead*I) x = b`` with ``b`` the column of ``cov``
+    with the largest diagonal entry; with ``lead`` accurate to rounding,
+    one step leaves ``x`` along the signal eigenvector up to a relative
+    ``K_q * eps * lead / (lead - second)``.  The result stands only
+    under a residual certificate.  With ``v = x/|x|``, Rayleigh quotient
+    ``mu`` and residual ``r = |cov v - mu v|``, some eigenvalue lies
+    within ``r`` of ``mu``; if ``mu - lambda_2 > r`` it is the largest,
+    and by Davis and Kahan's sin-theta theorem
+    ``sin angle(v, v_1) <= r / (mu - lambda_2 - r)``.  ``lambda_2`` is
+    bounded by ``second`` widened by the ``eigvalsh`` error, taken as
+    ``K_q * eps * lead``, and the angle must come out below
+    ``_EIGENVECTOR_SIN_TOL``.  A singular solve, a non-finite or zero
+    ``x`` or a failed certificate gives None.
+    """
+    k = cov.shape[0]
+    shifted = cov.copy()
+    diagonal = shifted.reshape(-1)[:: k + 1]
+    rhs = cov[:, np.argmax(diagonal.real)]
+    diagonal -= lead
+    try:
+        x = np.linalg.solve(shifted, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    norm = np.linalg.norm(x)
+    if not 0.0 < norm < np.inf:
+        return None
+    v = x / norm
+    image = cov @ v
+    mu = float((v.conj() @ image).real)
+    residual = float(np.linalg.norm(image - mu * v))
+    separation = mu - second - k * _EPS * abs(lead)
+    if separation > residual and residual <= _EIGENVECTOR_SIN_TOL * (separation - residual):
+        return v
+    return None
 
 
 def _root_polynomial(ns: NoiseSubspace) -> np.ndarray:
@@ -157,7 +241,7 @@ def _root_polynomial(ns: NoiseSubspace) -> np.ndarray:
     ``_CERTIFIED_MIN_DEGREE`` on, ``F = I - v v^H`` with ``v`` the signal
     eigenvector, and ``c`` is ``-correlate(v, v)`` plus ``K`` at lag 0.
     """
-    k = ns.basis.shape[0]
+    k = ns.signal.size
     if 2 * (k - 1) >= _CERTIFIED_MIN_DEGREE:
         coeffs = -np.correlate(ns.signal, ns.signal, "full")
         coeffs[k - 1] += k
@@ -363,23 +447,43 @@ def _winding_number(asc: np.ndarray, radius: float, size: int) -> int | None:
     ``2*pi`` times the exact winding number.
     """
     beta = _centred(asc, radius, size)
-    freq = np.fft.fftfreq(size, 1.0 / size)
-    g = np.fft.ifft(beta, norm="forward")
-    dg = np.fft.ifft(1j * freq * beta, norm="forward")
+    jfreq, abs_freq, freq_sq = _frequency_grid(size)
+    pair = np.empty((2, size), dtype=complex)
+    pair[0] = beta
+    np.multiply(jfreq, beta, out=pair[1])
+    samples = np.fft.ifft(pair, norm="forward")
+    # g and g' at the size samples, then sample 0 again to close the circle
+    samples = np.concatenate((samples, samples[:, :1]), axis=1)
+    g = samples[0]
     h = 2.0 * np.pi / size
     rounding = _EPS * (10.0 * math.log2(size) * math.sqrt(size) + 4.0)
     weight = np.abs(beta)
-    err = rounding * np.sum(weight)
-    derr = rounding * np.sum(np.abs(freq) * weight)
-    bend = np.sum(freq * freq * weight) * (1.0 + 1e-12)
-    g = np.append(g, g[0])
-    mag = np.abs(g)
-    dmag = np.abs(np.append(dg, dg[0]))
+    err = rounding * weight.sum()
+    derr = rounding * (abs_freq * weight).sum()
+    bend = (freq_sq * weight).sum() * (1.0 + 1e-12)
+    mag, dmag = np.abs(samples)
     slope = 0.5 * (dmag[:-1] + dmag[1:]) + derr + 0.5 * h * bend
-    if mag.min() < 4.0 * err or np.any(mag[:-1] + mag[1:] - 2.0 * err < 2.0 * h * slope):
+    if mag.min() < 4.0 * err or (mag[:-1] + mag[1:] - 2.0 * err < 2.0 * h * slope).any():
         return None
-    turn = float(np.sum(np.angle(g[1:] * g[:-1].conj())))
+    turn = float(np.angle(g[1:] * g[:-1].conj()).sum())
     return (asc.size - 1) // 2 + round(turn / (2.0 * np.pi))
+
+
+@functools.lru_cache(maxsize=None)
+def _frequency_grid(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``1j*f``, ``|f|`` and ``f*f`` for ``f = fftfreq(size, 1/size)``.
+
+    ``size`` is a power of two, so ``f`` holds exact integers and the
+    cached arrays equal the ones a call would compute, bit for bit.  The
+    sample budget bounds ``size`` by ``4 * degree**2``, so the cache
+    holds one read-only entry per power of two up to that (128 to 32768
+    at ``K_q = 64``).
+    """
+    freq = np.fft.fftfreq(size, 1.0 / size)
+    grid = (1j * freq, np.abs(freq), freq * freq)
+    for array in grid:
+        array.flags.writeable = False
+    return grid
 
 
 def _centred(asc: np.ndarray, radius: float, size: int) -> np.ndarray:
@@ -424,21 +528,3 @@ def enumerate_candidates(phase_hat: float, geom: GroupGeometry) -> CandidateSet:
         angles=np.arcsin(sines),
     )
 
-
-def music_pseudospectrum(
-    ns: NoiseSubspace, geom: GroupGeometry, theta_grid: np.ndarray
-) -> np.ndarray:
-    """Diagnostic MUSIC pseudo-spectrum over an angle grid (radians).
-
-    ``P(theta) = 1 / (|e_q(theta)|^2 * ||U^H a(theta)||^2)``, including
-    the analog gain term, so it is not the bare noise-subspace spectrum.
-    Peaks line up with the candidate set of the rooted phase.
-    """
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    power = np.empty(theta_grid.shape)
-    for i, theta in np.ndenumerate(theta_grid):
-        gain = abs(gain_coefficient(geom, theta)) ** 2
-        steer = virtual_steering(geom, theta)
-        proj = np.linalg.norm(ns.basis.conj().T @ steer) ** 2
-        power[i] = 1.0 / (gain * proj) if gain * proj > 0 else np.inf
-    return power

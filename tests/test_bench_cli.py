@@ -1,6 +1,7 @@
 import json
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,23 +306,29 @@ _ONE_CELL = ["--snr-min", "10", "--snr-max", "10", "--trials", "1"]
 
 
 @pytest.mark.parametrize(
-    "argv, field",
+    "argv, field, spacing",
     [
-        (["bench", "--snapshot-grid", "0", "--trials", "1"], "snapshots"),
-        (["bench", "--snr-grid=-inf", "--trials", "1"], "snr_db"),
-        (["bench", "--snr-grid", "nan,10", "--trials", "1"], "snr_db"),
+        (["bench", "--snapshot-grid", "0", "--trials", "1"], "snapshots", 0.5),
+        (["bench", "--snr-grid=-inf", "--trials", "1"], "snr_db", 0.5),
+        (["bench", "--snr-grid", "nan,10", "--trials", "1"], "snr_db", 0.5),
         (["dataset", "--theta-min", "-90", "--theta-max", "90",
-          "--theta-step", "90", *_ONE_CELL], "theta0"),
+          "--theta-step", "90", *_ONE_CELL], "theta0", 0.5),
         (["dataset", "--snapshots", "0", "--theta-step", "30", *_ONE_CELL],
-         "snapshots"),
-        (["estimate", "--snapshots", "0"], "snapshots"),
-        (["estimate", "--theta0-deg", "95"], "theta0"),
+         "snapshots", 0.5),
+        (["estimate", "--snapshots", "0"], "snapshots", 0.5),
+        (["estimate", "--theta0-deg", "95"], "theta0", 0.5),
+        (["dataset", "--theta-step", "30", *_ONE_CELL], "d_over_lambda", 0.4),
+        (["train", "--dataset", "missing.csv"], "d_over_lambda", 0.4),
     ],
     ids=["bench-T0", "bench-snr-neginf", "bench-snr-nan", "dataset-endfire",
-         "dataset-T0", "estimate-T0", "estimate-theta95"],
+         "dataset-T0", "estimate-T0", "estimate-theta95", "dataset-spacing0.4",
+         "train-spacing0.4"],
 )
-def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field):
-    # rejected at construction: exit 2 naming the field, and no output file
+def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field, spacing):
+    # rejected at construction: exit 2 naming the field, and no output file.
+    # The MLP commands need half-wavelength spacing, which gives each group
+    # M_q candidates; train checks it before it reads the dataset.
+    save_config(replace(BASE_CFG, d_over_lambda=spacing), cfg_file)
     out = str(tmp_path / "out")
     flag = "--dump-candidates" if argv[0] == "estimate" else "--out"
     assert cli_main([argv[0], "--config", cfg_file, *argv[1:], flag, out]) == 2

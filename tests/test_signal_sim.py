@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from h2ad_doa.array_model import ArrayConfig
+from h2ad_doa.array_model import ArrayConfig, gain_coefficient, virtual_steering
 from h2ad_doa.signal_sim import (
+    _EMITTER_STREAM,
     GroupSnapshots,
     SimScenario,
     SnapshotFormatError,
@@ -15,6 +16,7 @@ from h2ad_doa.signal_sim import (
     sample_covariance,
     simulate_group,
     write_snapshots,
+    _stream,
 )
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
@@ -66,6 +68,41 @@ def test_simulation_reproducible_bitwise():
     assert not np.array_equal(a, c)
 
 
+def reference_simulation(sc, q):
+    """Snapshots and covariance from the plain expressions, the oracle for
+    the in-place forms in signal_sim."""
+
+    def complex_normal(rng, shape):
+        g1 = rng.standard_normal(shape)
+        g2 = rng.standard_normal(shape)
+        return (g1 + 1j * g2) / np.sqrt(2.0)
+
+    geom = sc.cfg.group(q)
+    gain = gain_coefficient(geom, sc.theta0)
+    steer = virtual_steering(geom, sc.theta0)
+    x = complex_normal(_stream(sc.seed, _EMITTER_STREAM), sc.snapshots)
+    noise = complex_normal(_stream(sc.seed, q), (geom.num_subarrays, sc.snapshots))
+    sigma_v = np.sqrt(sc.noise_variance)
+    amplitude = 1.0 * gain / np.sqrt(geom.subarray_size)
+    data = amplitude * np.outer(steer, x) + sigma_v * noise
+    r = data @ data.conj().T / sc.snapshots
+    return x, data, (r + r.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("k", [8, 16, 64])
+@pytest.mark.parametrize("snr_db", [-15.0, 0.0, 30.0, math.inf])
+def test_synthesis_bytes_match_reference_expressions(k, snr_db):
+    cfg = ArrayConfig(M=(7, 11, 13), K=(k, k, k))
+    for seed, theta in ((0, 0.0), (1, 0.7), (2, -1.2)):
+        sc = scenario(cfg=cfg, theta0=theta, snr_db=snr_db, seed=seed)
+        for q in range(3):
+            x, data, cov = reference_simulation(sc, q)
+            snap = simulate_group(sc, q)
+            assert emitter_waveform(sc).tobytes() == x.tobytes()
+            assert snap.data.tobytes() == data.tobytes()
+            assert sample_covariance(snap).tobytes() == cov.tobytes()
+
+
 def test_group_shapes():
     for q, k in enumerate(BASE_CFG.K):
         snap = simulate_group(scenario(), q)
@@ -81,8 +118,6 @@ def test_emitter_waveform_shared_across_groups():
     assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, rel=0.2)
     recovered = []
     for q in range(3):
-        from h2ad_doa.array_model import gain_coefficient, virtual_steering
-
         geom = BASE_CFG.group(q)
         snap = simulate_group(sc, q)
         amp = gain_coefficient(geom, sc.theta0) / math.sqrt(geom.subarray_size)

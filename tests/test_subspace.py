@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h2ad_doa import subspace
-from h2ad_doa.array_model import ArrayConfig, virtual_steering
+from h2ad_doa.array_model import ArrayConfig, gain_coefficient, virtual_steering
 from h2ad_doa.signal_sim import SimScenario, exact_covariance, sample_covariance, simulate_group
 from h2ad_doa.subspace import (
     _CERTIFIED_MIN_DEGREE,
@@ -16,13 +16,13 @@ from h2ad_doa.subspace import (
     NoRootFoundError,
     _certificate_points,
     _certified_signal_phase,
+    _leading_eigenvector,
     _newton_root,
     _np_roots_phase,
     _root_polynomial,
     _spectrum_minimum,
     _winding_number,
     enumerate_candidates,
-    music_pseudospectrum,
     noise_subspace,
     root_music_phase,
 )
@@ -80,25 +80,127 @@ def test_root_polynomial_conjugate_reciprocal_roots():
         assert np.min(np.abs(mirrored - r)) < 1e-6
 
 
-def trace_polynomial(ns):
+def trace_polynomial(basis):
     """The ``U U^H`` diagonal-sum build, highest degree first."""
-    f = ns.basis @ ns.basis.conj().T
+    f = basis @ basis.conj().T
     k = f.shape[0]
     return np.array([np.trace(f, offset=off) for off in range(k - 1, -k, -1)])
+
+
+def random_hermitian(k, spike, seed):
+    """A Wishart-like covariance plus ``spike`` along a random direction."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return a @ a.conj().T / k + spike * np.outer(v, v.conj()) / k
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(18, 64), spike=st.floats(0.0, 100.0), seed=st.integers(0, 2**32 - 1))
 def test_signal_eigenvector_build_matches_trace_build(k, spike, seed):
-    # any Hermitian covariance, with or without a dominant direction
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-    v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    cov = a @ a.conj().T / k + spike * np.outer(v, v.conj()) / k
+    # any Hermitian covariance, with or without a dominant direction; the
+    # trace build's noise basis comes from eigh, since from K_q = 18 on
+    # noise_subspace keeps none
+    cov = random_hermitian(k, spike, seed)
     ns = noise_subspace(cov)
+    assert ns.basis is None
     coeffs = _root_polynomial(ns)
     assert coeffs.shape == (2 * k - 1,)
-    assert np.max(np.abs(coeffs - trace_polynomial(ns))) <= 1e-12 * k
+    basis = np.linalg.eigh(cov)[1][:, -2::-1]
+    assert np.max(np.abs(coeffs - trace_polynomial(basis))) <= 1e-12 * k
+
+
+def eigh_subspace(cov):
+    """The reference split: every eigenpair from one ``eigh``."""
+    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+    return NoiseSubspace(basis=eigenvectors[:, -2::-1], signal=eigenvectors[:, -1],
+                         leading_eigenvalue=float(eigenvalues[-1]),
+                         noise_floor=float(np.mean(eigenvalues[-2::-1])))
+
+
+def sine_between(u, v):
+    """Sine of the angle between unit vectors, from the orthogonal residual."""
+    return np.linalg.norm(v - u * np.vdot(u, v))
+
+
+def certificate_accepts(cov):
+    eigenvalues = np.linalg.eigvalsh(cov)
+    return _leading_eigenvector(cov, eigenvalues[-1], eigenvalues[-2]) is not None
+
+
+def test_certified_eigenvector_agrees_with_eigh_fuzz():
+    # simulated fits: the certified eigenpair gives the eigh phase to
+    # 1e-9 rad and its eigenvalues; both eigenvalue routines are accurate
+    # to rounding of the largest eigenvalue, so the noise floor is held
+    # to 1e-12 of that scale, not of itself (30 dB: 1e-3 against ~50)
+    rng = np.random.default_rng(77)
+    accepted = 0
+    for _ in range(120):
+        k = int(rng.integers(_CERTIFIED_MIN_DEGREE // 2 + 1, 65))
+        cfg = ArrayConfig(M=(11, 13, 17), K=(k, k, k))
+        q = int(rng.integers(0, 3))
+        sc = SimScenario(cfg=cfg, theta0=float(rng.uniform(-1.3, 1.3)),
+                         snr_db=float(rng.uniform(-15.0, 30.0)), snapshots=200,
+                         seed=int(rng.integers(1 << 30)))
+        cov = sample_covariance(simulate_group(sc, q))
+        ns, ref = noise_subspace(cov), eigh_subspace(cov)
+        accepted += certificate_accepts(cov)
+        assert ns.basis is None
+        assert sine_between(ref.signal, ns.signal) < 1e-10
+        assert wrapped(root_music_phase(ns, cfg.group(q)),
+                       root_music_phase(ref, cfg.group(q))) < 1e-9
+        lead = ref.leading_eigenvalue
+        assert ns.leading_eigenvalue == pytest.approx(lead, rel=1e-12)
+        assert ns.noise_floor == pytest.approx(ref.noise_floor, abs=1e-12 * lead)
+    assert accepted >= 114
+
+
+def near_tie_covariance(k, rel_gap, seed=3):
+    """Hermitian matrix with eigenvalues 1, 1 - rel_gap, then 0.5 down to 0.1."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    values = np.concatenate([[1.0, 1.0 - rel_gap], np.linspace(0.5, 0.1, k - 2)])
+    cov = (q * values) @ q.conj().T
+    return (cov + cov.conj().T) / 2.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(18, 64), spike=st.sampled_from([0.0, 1e-6, 0.5, 5.0, 100.0]),
+       log_gap=st.one_of(st.none(), st.floats(-8.5, -2.0)), seed=st.integers(0, 2**32 - 1))
+def test_rejected_eigenvector_certificate_gives_eigh_bits(k, spike, log_gap, seed):
+    # random covariances, and near ties (relative gap 3e-9 to 1e-2), which
+    # the certificate refuses below a gap of about 1e-3
+    if log_gap is None:
+        cov = random_hermitian(k, spike, seed)
+    else:
+        cov = near_tie_covariance(k, 10.0 ** log_gap, seed)
+    ns, ref = noise_subspace(cov), eigh_subspace(cov)
+    if certificate_accepts(cov):
+        assert sine_between(ref.signal, ns.signal) < 1e-10
+        assert ns.leading_eigenvalue == pytest.approx(ref.leading_eigenvalue, rel=1e-12)
+    else:
+        assert ns.signal.tobytes() == ref.signal.tobytes()
+        assert ns.leading_eigenvalue == ref.leading_eigenvalue
+        assert ns.noise_floor == ref.noise_floor
+
+
+def test_near_tie_falls_back_to_eigh(monkeypatch):
+    # a gap just above DEGENERACY_RTOL is separable but leaves inverse
+    # iteration no certifiable direction: the eigh result stands, bit for bit
+    cov = near_tie_covariance(24, 3.0 * subspace.DEGENERACY_RTOL)
+    assert not certificate_accepts(cov)
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    ns = noise_subspace(cov)
+    ref = eigh_subspace(cov)
+    assert len(calls) == 2
+    assert ns.basis is None
+    assert ns.signal.tobytes() == ref.signal.tobytes()
+    assert ns.leading_eigenvalue == ref.leading_eigenvalue
+    assert ns.noise_floor == ref.noise_floor
+    with pytest.raises(DegenerateSpectrumError):
+        noise_subspace(near_tie_covariance(24, 0.5 * subspace.DEGENERACY_RTOL))
 
 
 @pytest.mark.parametrize("q,m", [(0, 7), (1, 11), (2, 13)])
@@ -330,11 +432,31 @@ def test_boundary_tie_drops_positive_end():
     assert sines[-1] == pytest.approx((1 + 2 * 2) / 7, abs=1e-12)
 
 
+def music_pseudospectrum(ns, geom, theta_grid):
+    """Diagnostic MUSIC pseudo-spectrum over an angle grid (radians).
+
+    ``P(theta) = 1 / (|e_q(theta)|^2 * ||U^H a(theta)||^2)``, including
+    the analog gain term, so it is not the bare noise-subspace spectrum.
+    ``||U^H a||^2 = ||a||^2 - |v^H a|^2`` with ``v`` the signal
+    eigenvector, so it needs no noise basis.
+    """
+    power = np.empty(np.shape(theta_grid))
+    for i, theta in np.ndenumerate(theta_grid):
+        gain = abs(gain_coefficient(geom, theta)) ** 2
+        steer = virtual_steering(geom, theta)
+        proj = np.vdot(steer, steer).real - abs(np.vdot(ns.signal, steer)) ** 2
+        power[i] = 1.0 / (gain * proj) if gain * proj > 0 else np.inf
+    return power
+
+
 def test_pseudospectrum_peaks_at_candidates():
-    ns = exact_ns(2)
-    geom = BASE_CFG.group(2)
-    phase = root_music_phase(ns, geom)
-    cs = enumerate_candidates(phase, geom)
-    on = music_pseudospectrum(ns, geom, cs.angles)
-    off = music_pseudospectrum(ns, geom, cs.angles + math.radians(0.3))
-    assert np.min(on) > 1e4 * np.max(off)
+    # K_q = 24 has no noise basis; the spectrum comes from the signal vector
+    for k in (16, 24):
+        cfg = ArrayConfig(M=(7, 11, 13), K=(k, k, k))
+        ns = noise_subspace(exact_covariance(scenario(cfg=cfg), 2))
+        geom = cfg.group(2)
+        phase = root_music_phase(ns, geom)
+        cs = enumerate_candidates(phase, geom)
+        on = music_pseudospectrum(ns, geom, cs.angles)
+        off = music_pseudospectrum(ns, geom, cs.angles + math.radians(0.3))
+        assert np.min(on) > 1e4 * np.max(off)
