@@ -25,7 +25,7 @@ from .fusion import (
     weights_crlb_ratio,
     weights_exact,
 )
-from .signal_sim import SimScenario, simulate_group, write_snapshots
+from .signal_sim import SimScenario, simulate_groups, write_snapshots
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -61,10 +61,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    scenario = _scenario(args)
-    for q in range(scenario.cfg.num_groups):
-        snap = simulate_group(scenario, q)
-        path = f"{args.out}.group{q}.snap"
+    for snap in simulate_groups(_scenario(args)):
+        path = f"{args.out}.group{snap.group_index}.snap"
         write_snapshots(snap, path)
         print(f"wrote {path} ({snap.num_subarrays}x{snap.snapshots})")
     return 0
@@ -149,6 +147,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     scenario = _scenario(args)
+    mbdnn.MlpSpec.from_config(scenario.cfg)
     model = mbdnn.load_model(args.model)
     sets = group_candidates(scenario)
     prediction = mbdnn.predict_doa(model, sets)

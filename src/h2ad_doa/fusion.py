@@ -1,5 +1,16 @@
 """Cross-group fusion: true-tuple selection and CRLB-weighted combining.
 
+:func:`group_candidates` is the per-group front end every caller shares
+(``estimate_doa``, the CLI, ``run_sweep`` and ``generate_dataset``).  It
+makes one stacked pass per trial: the emitter waveform is drawn once,
+each group's covariance comes from its own (K_q, T) snapshot block, and
+the groups are split into classes of equal ``K_q``.  Each class runs one
+stacked eigensolve, one stacked polynomial build and, below ``K_q = 18``,
+one stacked companion rooting (see :mod:`h2ad_doa.subspace`).  The
+candidate sets equal the per-group chain's bit for bit.  If anything in
+the stacked pass raises, the trial's groups rerun that chain one at a
+time in group order, so a failure names the same group and cause.
+
 Coprime subarray sizes guarantee the groups' candidate sets intersect in
 exactly one angle.  With noise the common angle spreads into a tight
 cluster, so the true tuple is recovered as the one combination (one
@@ -20,8 +31,21 @@ from typing import Sequence
 import numpy as np
 
 from .array_model import ArrayConfig, gain_coefficient, position_weighted_gain
-from .signal_sim import SimScenario, check_operating_point, simulate_group, sample_covariance
-from .subspace import CandidateSet, enumerate_candidates, noise_subspace, root_music_phase
+from .signal_sim import (
+    SimScenario,
+    check_operating_point,
+    sample_covariance,
+    simulate_group,
+    simulate_groups,
+)
+from .subspace import (
+    CandidateSet,
+    enumerate_candidates,
+    noise_subspace,
+    noise_subspaces,
+    root_music_phase,
+    root_music_phases,
+)
 
 #: The exact CRLB is trusted only this far off broadside (radians).
 ANGLE_GUARD = math.radians(70.0)
@@ -274,9 +298,42 @@ def fused_crlb(
 def group_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
     """Run the per-group front end: simulate, covariance, root, unfold.
 
-    Any group-stage failure aborts the trial via
-    :class:`GroupFailureError` tagged with the failing group.
+    One stacked pass per trial: the emitter waveform is drawn once, each
+    group's covariance is formed from its own snapshot block, and the
+    groups that share a ``K_q`` go through :func:`noise_subspaces` and
+    :func:`root_music_phases` together.  Every candidate set equals the
+    one the per-group chain (:func:`simulate_group`,
+    :func:`sample_covariance`, :func:`noise_subspace`,
+    :func:`root_music_phase`) gives, bit for bit.
+
+    If the stacked pass raises, the groups run that chain one at a time
+    in group order, so a failure aborts the trial via
+    :class:`GroupFailureError` tagged with the first failing group and
+    carrying the same cause as the chain's.
     """
+    try:
+        return _stacked_candidates(scenario)
+    except Exception:
+        # The per-group chain decides what a failing trial raises, and
+        # for which group.
+        return _chained_candidates(scenario)
+
+
+def _stacked_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
+    cfg = scenario.cfg
+    covs = [sample_covariance(snap) for snap in simulate_groups(scenario)]
+    phases = [0.0] * cfg.num_groups
+    size_classes: dict[int, list[int]] = {}
+    for q, k in enumerate(cfg.K):
+        size_classes.setdefault(k, []).append(q)
+    for members in size_classes.values():
+        stack = noise_subspaces(np.stack([covs[q] for q in members]))
+        for q, phase in zip(members, root_music_phases(stack)):
+            phases[q] = phase
+    return tuple(enumerate_candidates(phases[q], cfg.group(q)) for q in range(cfg.num_groups))
+
+
+def _chained_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
     sets = []
     for q in range(scenario.cfg.num_groups):
         geom = scenario.cfg.group(q)

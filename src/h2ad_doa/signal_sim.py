@@ -13,13 +13,16 @@ defined per physical element before combining.
 Randomness uses the counter-based Philox generator with one stream per
 (seed, group) plus a shared emitter stream, so every group sees the same
 waveform, noise is independent across groups, and results do not depend
-on the order groups are simulated in.
+on the order groups are simulated in.  :func:`simulate_groups` draws the
+waveform once for all the groups of a trial; :func:`simulate_group` is its
+one-group case and gives the same bytes.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -150,35 +153,43 @@ def emitter_waveform(scenario: SimScenario) -> np.ndarray:
     return _complex_normal(rng, (scenario.snapshots,))
 
 
-def simulate_group(
-    scenario: SimScenario, q: int, signal_scale: float = 1.0
-) -> GroupSnapshots:
-    """Simulate the snapshot block of group ``q``.
+def simulate_groups(
+    scenario: SimScenario, groups: Iterable[int] | None = None
+) -> tuple[GroupSnapshots, ...]:
+    """Simulate the snapshot blocks of ``groups`` (default: all, in order).
 
-    Deterministic given ``(scenario.seed, q)``.  ``signal_scale`` is a
-    diagnostic hook; 0 produces noise-only snapshots from the same noise
-    stream.
+    The shared emitter waveform is drawn once for all of them.  Each
+    block is deterministic given ``(scenario.seed, q)``.
 
     Returns
     -------
-    GroupSnapshots
+    tuple of GroupSnapshots
         ``data[k, n]`` is subarray ``k`` of group ``q`` at snapshot ``n``.
     """
-    geom = scenario.cfg.group(q)
-    gain = gain_coefficient(geom, scenario.theta0)
-    steer = virtual_steering(geom, scenario.theta0)
     x = emitter_waveform(scenario)
-    rng = _stream(scenario.seed, q)
-    noise = _complex_normal(rng, (geom.num_subarrays, scenario.snapshots))
     sigma_v = np.sqrt(scenario.noise_variance)
-    amplitude = signal_scale * gain / np.sqrt(geom.subarray_size)
-    # amplitude * outer(steer, x) + sigma_v * noise, in place; the scalar
-    # stays the first operand, which selects the same complex-multiply loop
-    data = np.outer(steer, x)
-    np.multiply(amplitude, data, out=data)
-    np.multiply(sigma_v, noise, out=noise)
-    data += noise
-    return GroupSnapshots(group_index=q, data=data)
+    blocks = []
+    for q in range(scenario.cfg.num_groups) if groups is None else groups:
+        geom = scenario.cfg.group(q)
+        gain = gain_coefficient(geom, scenario.theta0)
+        steer = virtual_steering(geom, scenario.theta0)
+        noise = _complex_normal(
+            _stream(scenario.seed, q), (geom.num_subarrays, scenario.snapshots)
+        )
+        amplitude = gain / np.sqrt(geom.subarray_size)
+        # amplitude * outer(steer, x) + sigma_v * noise, in place; the scalar
+        # stays the first operand, which selects the same complex-multiply loop
+        data = np.outer(steer, x)
+        np.multiply(amplitude, data, out=data)
+        np.multiply(sigma_v, noise, out=noise)
+        data += noise
+        blocks.append(GroupSnapshots(group_index=q, data=data))
+    return tuple(blocks)
+
+
+def simulate_group(scenario: SimScenario, q: int) -> GroupSnapshots:
+    """Simulate the snapshot block of group ``q`` (see :func:`simulate_groups`)."""
+    return simulate_groups(scenario, (q,))[0]
 
 
 def sample_covariance(snap: GroupSnapshots) -> np.ndarray:
@@ -189,20 +200,6 @@ def sample_covariance(snap: GroupSnapshots) -> np.ndarray:
     r += r.conj().T
     r /= 2.0
     return r
-
-
-def exact_covariance(scenario: SimScenario, q: int) -> np.ndarray:
-    """Infinite-snapshot covariance of group ``q``.
-
-    ``(1/M_q)|e_q|^2 a a^H + sigma_v^2 I`` with unit signal power; its
-    trace is ``K_q * (|e_q|^2 / M_q + sigma_v^2)``.
-    """
-    geom = scenario.cfg.group(q)
-    gain = gain_coefficient(geom, scenario.theta0)
-    steer = virtual_steering(geom, scenario.theta0)
-    r = (abs(gain) ** 2 / geom.subarray_size) * np.outer(steer, steer.conj())
-    r += scenario.noise_variance * np.eye(geom.num_subarrays)
-    return (r + r.conj().T) / 2.0
 
 
 def write_snapshots(snap: GroupSnapshots, path) -> None:

@@ -44,6 +44,20 @@ eigenvalue (0.47 against 0.70-0.98 ms per group at ``K_q = 64``).  A
 residual certificate (Davis-Kahan) accepts that vector only if it lies
 within an angle of ``1e-12`` of the true one; otherwise the ``eigh``
 path runs, so its result is the same to the bit.
+
+Groups of one size ``K_q`` run as a stack.  :func:`noise_subspaces`
+splits a (G, K_q, K_q) stack of covariances with one stacked ``eigh``
+below ``K_q = 18``, or one stacked ``eigvalsh`` and a certified
+eigenvector per matrix from there on.  :func:`root_music_phases` builds
+every polynomial of the stack, below ``K_q = 18`` with ``2K_q - 1``
+stacked ``np.trace`` calls, and roots them with one stacked
+``np.linalg.eigvals`` on the companion matrices ``np.roots`` would build;
+from ``K_q = 18`` on each polynomial is certified alone.  A stacked
+LAPACK call solves each matrix as the one-matrix call does, and each
+stacked reduction sums in the one-matrix order, so the per-group
+functions :func:`noise_subspace` and :func:`root_music_phase`, the
+one-group cases, give the same bits as a stack.  A stack raises when
+any member fails; which group to name is the caller's choice.
 """
 
 from __future__ import annotations
@@ -131,12 +145,37 @@ class CandidateSet:
     angles: np.ndarray
 
 
+@dataclass(frozen=True)
+class SubspaceStack:
+    """Signal and noise subspaces of ``G`` covariances of one size ``K_q``.
+
+    The fields are those of :class:`NoiseSubspace`, each with a leading
+    axis of length ``G``: ``basis`` (G, K_q, K_q - 1) or None from
+    ``K_q = 18`` on, ``signal`` (G, K_q), and ``leading_eigenvalue`` and
+    ``noise_floor`` (G,).  Indexing gives one group's NoiseSubspace.
+    """
+
+    basis: np.ndarray | None
+    signal: np.ndarray
+    leading_eigenvalue: np.ndarray
+    noise_floor: np.ndarray
+
+    def __getitem__(self, g: int) -> NoiseSubspace:
+        return NoiseSubspace(
+            basis=None if self.basis is None else self.basis[g],
+            signal=self.signal[g],
+            leading_eigenvalue=float(self.leading_eigenvalue[g]),
+            noise_floor=float(self.noise_floor[g]),
+        )
+
+
 def noise_subspace(cov: np.ndarray) -> NoiseSubspace:
     """Split a group covariance into signal and noise subspaces.
 
     The signal subspace is fixed at dimension one (single emitter), so
     the noise basis is the trailing ``K_q - 1`` eigenvectors in
-    descending eigenvalue order.
+    descending eigenvalue order.  This is the one-group case of
+    :func:`noise_subspaces`.
 
     Below ``K_q = 18`` one ``np.linalg.eigh`` gives every eigenpair.
     From ``K_q = 18`` on (polynomial degree ``_CERTIFIED_MIN_DEGREE``),
@@ -155,31 +194,63 @@ def noise_subspace(cov: np.ndarray) -> NoiseSubspace:
     """
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError(f"covariance must be square, got {cov.shape}")
-    if cov.shape[0] < 2:
+    return noise_subspaces(cov[None])[0]
+
+
+def noise_subspaces(covs: np.ndarray) -> SubspaceStack:
+    """:func:`noise_subspace` of each matrix of a (G, K_q, K_q) stack.
+
+    Below ``K_q = 18`` one stacked ``eigh`` splits them all.  From
+    ``K_q = 18`` on one stacked ``eigvalsh`` gives the eigenvalues, and
+    each matrix then takes its certified eigenvector, or its own
+    ``eigh``.  The stacked LAPACK calls solve each matrix as the
+    one-matrix call does, so every group's result is the same to the bit.
+
+    Raises
+    ------
+    DegenerateSpectrumError
+        For the first matrix, in stack order, without a separable
+        signal eigenvalue.
+    """
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        raise ValueError(f"covariances must stack square matrices, got {covs.shape}")
+    if covs.shape[1] < 2:
         raise ValueError("need at least two subarrays for a noise subspace")
-    signal_only = 2 * (cov.shape[0] - 1) >= _CERTIFIED_MIN_DEGREE
-    if signal_only:
-        eigenvalues = np.linalg.eigvalsh(cov)
+    if 2 * (covs.shape[1] - 1) < _CERTIFIED_MIN_DEGREE:
+        return _eigh_subspaces(covs)
+    signals, leads, floors = [], [], []
+    for cov, eigenvalues in zip(covs, np.linalg.eigvalsh(covs)):
         lead, second = eigenvalues[-1], eigenvalues[-2]
         _check_separable(lead, second)
         signal = _leading_eigenvector(cov, lead, second)
-        if signal is not None:
-            return NoiseSubspace(
-                basis=None,
-                signal=signal,
-                leading_eigenvalue=float(lead),
-                noise_floor=float(np.mean(eigenvalues[:-1])),
-            )
-    eigenvalues, eigenvectors = np.linalg.eigh(cov)
+        floor = np.mean(eigenvalues[:-1])
+        if signal is None:
+            ref = _eigh_subspaces(cov[None])
+            signal, lead, floor = ref.signal[0], ref.leading_eigenvalue[0], ref.noise_floor[0]
+        signals.append(signal)
+        leads.append(lead)
+        floors.append(floor)
+    return SubspaceStack(
+        basis=None,
+        signal=np.stack(signals),
+        leading_eigenvalue=np.array(leads),
+        noise_floor=np.array(floors),
+    )
+
+
+def _eigh_subspaces(covs: np.ndarray) -> SubspaceStack:
+    """Every eigenpair of each matrix of a stack from one ``eigh``."""
+    eigenvalues, eigenvectors = np.linalg.eigh(covs)
     # eigh sorts ascending; flip to descending.
-    eigenvalues = eigenvalues[::-1]
-    eigenvectors = eigenvectors[:, ::-1]
-    _check_separable(eigenvalues[0], eigenvalues[1])
-    return NoiseSubspace(
-        basis=None if signal_only else eigenvectors[:, 1:],
-        signal=eigenvectors[:, 0],
-        leading_eigenvalue=float(eigenvalues[0]),
-        noise_floor=float(np.mean(eigenvalues[1:])),
+    eigenvalues = eigenvalues[:, ::-1]
+    eigenvectors = eigenvectors[..., ::-1]
+    for lead, second in eigenvalues[:, :2]:
+        _check_separable(lead, second)
+    return SubspaceStack(
+        basis=eigenvectors[..., 1:],
+        signal=eigenvectors[..., 0],
+        leading_eigenvalue=eigenvalues[:, 0],
+        noise_floor=np.mean(eigenvalues[:, 1:], axis=-1),
     )
 
 
@@ -240,14 +311,29 @@ def _root_polynomial(ns: NoiseSubspace) -> np.ndarray:
     polynomial whose unit-circle roots are the MUSIC nulls.  From degree
     ``_CERTIFIED_MIN_DEGREE`` on, ``F = I - v v^H`` with ``v`` the signal
     eigenvector, and ``c`` is ``-correlate(v, v)`` plus ``K`` at lag 0.
+    The one-group case of :func:`_root_polynomials`.
     """
-    k = ns.signal.size
+    basis = None if ns.basis is None else ns.basis[None]
+    return _root_polynomials(ns.signal[None], basis)[0]
+
+
+def _root_polynomials(signal: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
+    """:func:`_root_polynomial` of each group of a stack, shape (G, 2K - 1).
+
+    Below degree ``_CERTIFIED_MIN_DEGREE`` one stacked product forms
+    every ``F`` and each offset's diagonal sums come from one stacked
+    ``np.trace``; both sum each matrix in the one-matrix order.
+    """
+    k = signal.shape[-1]
     if 2 * (k - 1) >= _CERTIFIED_MIN_DEGREE:
-        coeffs = -np.correlate(ns.signal, ns.signal, "full")
-        coeffs[k - 1] += k
+        coeffs = np.stack([-np.correlate(v, v, "full") for v in signal])
+        coeffs[:, k - 1] += k
         return coeffs
-    f = ns.basis @ ns.basis.conj().T
-    return np.array([np.trace(f, offset=off) for off in range(k - 1, -k, -1)])
+    f = basis @ basis.conj().swapaxes(-1, -2)
+    return np.stack(
+        [np.trace(f, offset=off, axis1=-2, axis2=-1) for off in range(k - 1, -k, -1)],
+        axis=-1,
+    )
 
 
 def root_music_phase(ns: NoiseSubspace, geom: GroupGeometry) -> float:
@@ -257,9 +343,10 @@ def root_music_phase(ns: NoiseSubspace, geom: GroupGeometry) -> float:
     largest modulus; modulus ties within ``ROOT_TIE_TOL`` break toward
     the smaller principal argument.  The analog gain prefactor is
     angle-dependent but root-free, so it plays no part in rooting.
+    This is the one-group case of :func:`root_music_phases`.
 
-    Below degree ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``) the polynomial
-    is rooted with ``np.roots``, an O(K_q^3) companion-matrix
+    Below degree ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``) every root is
+    computed as ``np.roots`` does, an O(K_q^3) companion-matrix
     eigensolve.  From that degree on, the polynomial is built from the
     signal eigenvector and the signal root is found alone:
     Newton iteration from the minimum of the FFT-evaluated spectrum,
@@ -280,14 +367,48 @@ def root_music_phase(ns: NoiseSubspace, geom: GroupGeometry) -> float:
         root; equals ``(2*pi/lambda) * M_q * d * sin(theta0)`` folded to
         the principal branch.
     """
-    coeffs = _root_polynomial(ns)
-    if not np.any(np.abs(coeffs) > 0):
+    return _polynomial_phases(_root_polynomial(ns)[None])[0]
+
+
+def root_music_phases(stack: SubspaceStack) -> list[float]:
+    """:func:`root_music_phase` of each group of a stack, in stack order."""
+    return _polynomial_phases(_root_polynomials(stack.signal, stack.basis))
+
+
+def _polynomial_phases(coeffs: np.ndarray) -> list[float]:
+    """Signal-root phase of each row of a (G, degree + 1) coefficient stack.
+
+    From degree ``_CERTIFIED_MIN_DEGREE`` on each row is certified alone
+    or handed to ``np.roots``.  Below it, one stacked ``np.linalg.eigvals``
+    solves the companion matrices ``np.roots`` would build, which gives
+    its roots to the bit.  ``np.roots`` strips zero leading and trailing
+    coefficients, so such rows go to ``np.roots`` itself.
+
+    Raises
+    ------
+    NoRootFoundError
+        If a row has no nonzero coefficient, or no usable root.
+    """
+    if not (np.abs(coeffs) > 0).any(axis=1).all():
         raise NoRootFoundError("all polynomial coefficients vanish")
-    if coeffs.size - 1 >= _CERTIFIED_MIN_DEGREE:
-        phase = _certified_signal_phase(coeffs)
-        if phase is not None:
-            return phase
-    return _np_roots_phase(coeffs)
+    if coeffs.shape[1] - 1 >= _CERTIFIED_MIN_DEGREE:
+        phases = [_certified_signal_phase(row) for row in coeffs]
+        return [
+            _np_roots_phase(row) if phase is None else phase
+            for row, phase in zip(coeffs, phases)
+        ]
+    phases = np.empty(len(coeffs))
+    companion_rows = (coeffs[:, 0] != 0) & (coeffs[:, -1] != 0)
+    for g in np.flatnonzero(~companion_rows):
+        phases[g] = _np_roots_phase(coeffs[g])
+    if companion_rows.any():
+        p = coeffs[companion_rows]
+        n = p.shape[1] - 1
+        companion = np.zeros((len(p), n, n), dtype=p.dtype)
+        companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        phases[companion_rows] = _signal_root_phases(np.linalg.eigvals(companion))
+    return phases.tolist()
 
 
 def _np_roots_phase(coeffs: np.ndarray) -> float:
@@ -295,17 +416,26 @@ def _np_roots_phase(coeffs: np.ndarray) -> float:
     roots = np.roots(coeffs)
     if roots.size == 0:
         raise NoRootFoundError("polynomial has no roots")
+    return float(_signal_root_phases(roots[None])[0])
+
+
+def _signal_root_phases(roots: np.ndarray) -> np.ndarray:
+    """Phase of the signal root of each row of a (G, n) root stack.
+
+    Among roots with modulus at most ``1 + _CIRCLE_SLACK``, the largest
+    modulus wins; moduli within ``ROOT_TIE_TOL`` of it tie, and the
+    smallest principal argument among them is taken.
+    """
     moduli = np.abs(roots)
     inside = moduli <= 1.0 + _CIRCLE_SLACK
-    if not np.any(inside):
+    if not inside.any(axis=1).all():
         raise NoRootFoundError("no root on or inside the unit circle")
-    roots = roots[inside]
-    moduli = moduli[inside]
-    best = np.max(moduli)
-    if best < 1e-12:
+    moduli = np.where(inside, moduli, -np.inf)
+    best = moduli.max(axis=1, keepdims=True)
+    if (best < 1e-12).any():
         raise NoRootFoundError("all roots numerically at zero")
-    tied = roots[moduli >= best - ROOT_TIE_TOL]
-    return float(np.min(np.angle(tied)) if tied.size > 1 else np.angle(tied[0]))
+    tied = moduli >= best - ROOT_TIE_TOL
+    return np.where(tied, np.angle(roots), np.inf).min(axis=1)
 
 
 def _certified_signal_phase(coeffs: np.ndarray) -> float | None:

@@ -319,18 +319,20 @@ _ONE_CELL = ["--snr-min", "10", "--snr-max", "10", "--trials", "1"]
         (["estimate", "--theta0-deg", "95"], "theta0", 0.5),
         (["dataset", "--theta-step", "30", *_ONE_CELL], "d_over_lambda", 0.4),
         (["train", "--dataset", "missing.csv"], "d_over_lambda", 0.4),
+        (["predict"], "d_over_lambda", 0.4),
     ],
     ids=["bench-T0", "bench-snr-neginf", "bench-snr-nan", "dataset-endfire",
          "dataset-T0", "estimate-T0", "estimate-theta95", "dataset-spacing0.4",
-         "train-spacing0.4"],
+         "train-spacing0.4", "predict-spacing0.4"],
 )
 def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field, spacing):
     # rejected at construction: exit 2 naming the field, and no output file.
     # The MLP commands need half-wavelength spacing, which gives each group
-    # M_q candidates; train checks it before it reads the dataset.
+    # M_q candidates; train checks it before it reads the dataset, and
+    # predict before it reads the model (here the missing output path).
     save_config(replace(BASE_CFG, d_over_lambda=spacing), cfg_file)
     out = str(tmp_path / "out")
-    flag = "--dump-candidates" if argv[0] == "estimate" else "--out"
+    flag = {"estimate": "--dump-candidates", "predict": "--model"}.get(argv[0], "--out")
     assert cli_main([argv[0], "--config", cfg_file, *argv[1:], flag, out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err

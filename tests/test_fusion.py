@@ -21,8 +21,15 @@ from h2ad_doa.fusion import (
     weights_crlb_ratio,
     weights_exact,
 )
-from h2ad_doa.signal_sim import SimScenario
-from h2ad_doa.subspace import DegenerateSpectrumError, enumerate_candidates
+from h2ad_doa import fusion, signal_sim
+from h2ad_doa.signal_sim import SimScenario, simulate_group
+from h2ad_doa.subspace import (
+    DegenerateSpectrumError,
+    NoRootFoundError,
+    enumerate_candidates,
+    noise_subspace,
+    root_music_phase,
+)
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 THETA41 = math.radians(41.0)
@@ -243,6 +250,103 @@ def test_group_failure_wraps_cause(monkeypatch):
         group_candidates(scenario())
     assert info.value.group_index == 0
     assert isinstance(info.value.__cause__, DegenerateSpectrumError)
+
+
+def chained_candidates(sc, covariance):
+    """The per-group public chain, one group at a time: the candidate
+    sets, or the first failing group and its cause."""
+    sets = []
+    for q in range(sc.cfg.num_groups):
+        geom = sc.cfg.group(q)
+        try:
+            ns = noise_subspace(covariance(simulate_group(sc, q)))
+            sets.append(enumerate_candidates(root_music_phase(ns, geom), geom))
+        except (ValueError, RuntimeError) as err:
+            return q, err
+    return sets
+
+
+K_CHOICES = (
+    [(k,) for k in range(2, 17)]
+    + [(k,) for k in range(18, 25)]
+    + [(8, 12, 16), (16, 18, 16)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ks=st.sampled_from(K_CHOICES), q=st.integers(2, 5),
+       snr_db=st.sampled_from([-15.0, 0.0, 30.0, math.inf]),
+       theta=st.floats(-1.4, 1.4), snapshots=st.sampled_from([20, 200]),
+       seed=st.integers(0, 2**63 - 1))
+def test_group_candidates_match_per_group_chain_bytes(ks, q, snr_db, theta, snapshots, seed):
+    # equal K_q classes of 2-5 groups on both sides of K_q = 18, and
+    # ragged configurations with two classes
+    k = ks if len(ks) > 1 else ks * q
+    cfg = ArrayConfig(M=(7, 11, 13, 17, 19)[: len(k)], K=k)
+    sc = scenario(cfg=cfg, theta0=theta, snr_db=snr_db, snapshots=snapshots, seed=seed)
+    reference = chained_candidates(sc, fusion.sample_covariance)
+    if isinstance(reference, tuple):
+        with pytest.raises(GroupFailureError) as info:
+            group_candidates(sc)
+        assert info.value.group_index == reference[0]
+        assert type(info.value.__cause__) is type(reference[1])
+        return
+    sets = group_candidates(sc)
+    assert len(sets) == len(reference)
+    for got, ref in zip(sets, reference):
+        assert got.group_index == ref.group_index
+        assert type(got.phase_hat) is float
+        assert np.float64(got.phase_hat).tobytes() == np.float64(ref.phase_hat).tobytes()
+        assert got.angles.tobytes() == ref.angles.tobytes()
+
+
+def test_group_candidates_draws_emitter_once(monkeypatch):
+    calls = []
+    draw = signal_sim.emitter_waveform
+    monkeypatch.setattr(signal_sim, "emitter_waveform", lambda sc: calls.append(sc) or draw(sc))
+    cfg = ArrayConfig(M=(7, 11, 13, 17, 19), K=(8, 8, 8, 12, 12))
+    assert len(group_candidates(scenario(cfg=cfg, snr_db=10.0))) == 5
+    assert len(calls) == 1
+
+
+def broken_covariance(k, kind):
+    if kind == "degenerate":
+        return np.eye(k, dtype=complex)
+    if kind == "nan":
+        return np.full((k, k), np.nan, dtype=complex)
+    # one dominant axis: the noise basis is exact unit vectors, so the
+    # polynomial keeps only its lag-0 term and every root sits at zero
+    return np.diag([2.0] + [1.0] * (k - 1)).astype(complex)
+
+
+@pytest.mark.parametrize("k, broken, label, cause", [
+    ((16, 16, 16), {2: "degenerate"}, 2, DegenerateSpectrumError),
+    ((16, 16, 16), {0: "degenerate", 2: "degenerate"}, 0, DegenerateSpectrumError),
+    ((16, 16, 16), {1: "nan"}, 1, np.linalg.LinAlgError),
+    ((16, 16, 16), {2: "nan", 0: "zero-roots"}, 0, NoRootFoundError),
+    ((16, 18, 16), {2: "degenerate", 1: "nan"}, 1, np.linalg.LinAlgError),
+    ((16, 18, 16), {1: "zero-roots"}, 1, NoRootFoundError),
+    ((20, 20, 20), {1: "degenerate", 2: "nan"}, 1, DegenerateSpectrumError),
+], ids=["degenerate-g2", "degenerate-g0-g2", "nan-g1", "roots-g0-nan-g2",
+        "ragged-nan-g1", "ragged-roots-g1", "k20-degenerate-g1"])
+def test_stacked_failure_names_first_failing_group(monkeypatch, k, broken, label, cause):
+    # a failure anywhere in a stack reruns the groups one at a time, so
+    # the label and cause are those of the per-group chain
+    real = fusion.sample_covariance
+
+    def covariance(snap):
+        kind = broken.get(snap.group_index)
+        return real(snap) if kind is None else broken_covariance(snap.num_subarrays, kind)
+
+    monkeypatch.setattr("h2ad_doa.fusion.sample_covariance", covariance)
+    sc = scenario(cfg=ArrayConfig(M=(7, 11, 13), K=k), snr_db=10.0)
+    q, err = chained_candidates(sc, covariance)
+    assert (q, type(err)) == (label, cause)
+    with pytest.raises(GroupFailureError) as info:
+        group_candidates(sc)
+    assert info.value.group_index == label
+    assert type(info.value.__cause__) is cause
+    assert str(info.value.__cause__) == str(err)
 
 
 def test_group_candidates_counts():

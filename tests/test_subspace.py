@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from h2ad_doa import subspace
 from h2ad_doa.array_model import ArrayConfig, gain_coefficient, virtual_steering
-from h2ad_doa.signal_sim import SimScenario, exact_covariance, sample_covariance, simulate_group
+from h2ad_doa.signal_sim import SimScenario, sample_covariance, simulate_group
 from h2ad_doa.subspace import (
     _CERTIFIED_MIN_DEGREE,
     CandidateSet,
@@ -19,13 +19,18 @@ from h2ad_doa.subspace import (
     _leading_eigenvector,
     _newton_root,
     _np_roots_phase,
+    _polynomial_phases,
     _root_polynomial,
+    _root_polynomials,
     _spectrum_minimum,
     _winding_number,
     enumerate_candidates,
     noise_subspace,
+    noise_subspaces,
     root_music_phase,
+    root_music_phases,
 )
+from sim_oracles import exact_covariance
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 THETA41 = math.radians(41.0)
@@ -201,6 +206,127 @@ def test_near_tie_falls_back_to_eigh(monkeypatch):
     assert ns.noise_floor == ref.noise_floor
     with pytest.raises(DegenerateSpectrumError):
         noise_subspace(near_tie_covariance(24, 0.5 * subspace.DEGENERACY_RTOL))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the class and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as err:
+        return type(err), str(err)
+
+
+def padded_polynomial(rng, length, lead, trail, real):
+    """Coefficients of length ``length``: ``lead`` zeros, a polynomial with
+    random roots (moduli 0.1 to 1.5, some on a common circle), ``trail`` zeros."""
+    n = length - lead - trail - 1
+    moduli = rng.choice([rng.uniform(0.1, 1.5), 0.8], size=n)
+    roots = moduli * np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
+    poly = np.poly(roots) * (rng.standard_normal() + 1j * rng.standard_normal())
+    if real:
+        poly = poly.real
+    return np.concatenate([np.zeros(lead), poly, np.zeros(trail)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(degree=st.one_of(st.integers(2, _CERTIFIED_MIN_DEGREE - 1),
+                        st.sampled_from([_CERTIFIED_MIN_DEGREE, _CERTIFIED_MIN_DEGREE + 4])),
+       groups=st.integers(1, 5),
+       zeros=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=5, max_size=5),
+       real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_rooting_matches_np_roots_phase_bytes(degree, groups, zeros, real, seed):
+    # one stacked companion eigensolve below degree 34 (any degree), and
+    # certified or np.roots per row from it (even degrees, as root-MUSIC
+    # builds); zero end coefficients, which np.roots strips, go to
+    # np.roots, and real coefficients give np.roots's bits too
+    rng = np.random.default_rng(seed)
+    coeffs = np.stack([
+        padded_polynomial(rng, degree + 1, min(lead, degree - 1),
+                          min(trail, degree - 1 - min(lead, degree - 1)), real)
+        for lead, trail in zeros[:groups]
+    ])
+    singles = [outcome(lambda row: _polynomial_phases(row[None])[0], row) for row in coeffs]
+    if degree < _CERTIFIED_MIN_DEGREE:
+        assert same_outcomes(singles, [outcome(_np_roots_phase, row) for row in coeffs])
+    stacked = outcome(_polynomial_phases, coeffs)
+    if all(type(phase) is float for phase in singles):
+        assert same_outcomes(stacked, singles)
+    else:
+        assert stacked[0] in (NoRootFoundError, np.linalg.LinAlgError)
+
+
+def same_outcomes(a, b):
+    """Equal lists of phases, bit for bit, and equal raised classes and messages."""
+    return len(a) == len(b) and all(
+        np.float64(x).tobytes() == np.float64(y).tobytes()
+        if type(x) is float and type(y) is float else x == y
+        for x, y in zip(a, b)
+    )
+
+
+@pytest.mark.parametrize("offset, expected", [(0.0, -0.5), (1e-13, -0.5), (1e-6, 0.5)])
+def test_signal_root_ties_break_to_smaller_angle(offset, expected):
+    # moduli within ROOT_TIE_TOL tie, and the smaller argument wins
+    roots = [(0.8 + offset) * np.exp(0.5j), 0.8 * np.exp(-0.5j), 0.3, 0.2j]
+    coeffs = reciprocal_polynomial(roots)
+    for phase in (_np_roots_phase(coeffs), _polynomial_phases(coeffs[None])[0]):
+        assert phase == pytest.approx(expected, abs=1e-9)
+
+
+def test_stacked_rooting_checks_each_row():
+    good = reciprocal_polynomial([0.9 * np.exp(0.4j), 0.5, 0.3j])
+    with pytest.raises(NoRootFoundError, match="vanish"):
+        _polynomial_phases(np.stack([good, np.zeros_like(good)]))
+    # the only root at the origin: z^2 (np.roots strips the zero tail)
+    origin = np.zeros_like(good)
+    origin[-3] = 1.0
+    with pytest.raises(NoRootFoundError, match="at zero"):
+        _polynomial_phases(np.stack([good, origin]))
+    assert _polynomial_phases(good[None]) == [_np_roots_phase(good)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(2, 30), groups=st.integers(1, 4),
+       spikes=st.lists(st.sampled_from([0.0, 0.5, 5.0, 100.0, "tie"]), min_size=4, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_subspaces_match_per_matrix_bytes(k, groups, spikes, seed):
+    # a stack splits and roots each matrix as the one-group functions do,
+    # also where the K_q >= 18 certificate fails (near ties) and eigh decides
+    covs = np.stack([
+        near_tie_covariance(k, 1e-6, seed + g) if spike == "tie"
+        else random_hermitian(k, spike, seed + g)
+        for g, spike in enumerate(spikes[:groups])
+    ])
+    singles = [outcome(noise_subspace, cov) for cov in covs]
+    stack = outcome(noise_subspaces, covs)
+    if not all(isinstance(ns, NoiseSubspace) for ns in singles):
+        first = next(ns for ns in singles if not isinstance(ns, NoiseSubspace))
+        assert stack == first
+        return
+    assert len(stack.signal) == groups
+    for g, ns in enumerate(singles):
+        got = stack[g]
+        assert got.signal.tobytes() == ns.signal.tobytes()
+        assert (got.basis is None) == (ns.basis is None) == (k >= 18)
+        if ns.basis is not None:
+            assert got.basis.tobytes() == ns.basis.tobytes()
+        assert got.leading_eigenvalue == ns.leading_eigenvalue
+        assert got.noise_floor == ns.noise_floor
+    if k < 18:
+        # the stacked traces sum each diagonal as the one-matrix np.trace does
+        reference = np.stack([trace_polynomial(ns.basis) for ns in singles])
+        assert _root_polynomials(stack.signal, stack.basis).tobytes() == reference.tobytes()
+    singles = [outcome(root_music_phase, ns, BASE_CFG.group(0)) for ns in singles]
+    if all(type(phase) is float for phase in singles):
+        assert same_outcomes(outcome(root_music_phases, stack), singles)
+
+
+def test_stacked_subspaces_raise_for_degenerate_member():
+    covs = np.stack([random_hermitian(8, 5.0, 1), np.eye(8, dtype=complex)])
+    with pytest.raises(DegenerateSpectrumError):
+        noise_subspaces(covs)
+    with pytest.raises(ValueError):
+        noise_subspaces(np.eye(3)[None, :2])
 
 
 @pytest.mark.parametrize("q,m", [(0, 7), (1, 11), (2, 13)])
