@@ -176,8 +176,8 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
 def gain_coefficient(geom: GroupGeometry, theta: float) -> complex:
     """Analog combining gain ``e_q(theta)`` of one subarray.
 
-    Direct sum ``sum_m exp(j*(2*pi/lambda)*m*d*sin(theta))`` over the
-    ``M_q`` elements.  The closed-form geometric ratio has a removable
+    The sum of :func:`element_steering`,
+    ``sum_m exp(j*(2*pi/lambda)*m*d*sin(theta))`` over the ``M_q`` elements.  The closed-form geometric ratio has a removable
     0/0 at broadside, so the sum is evaluated as written; at
     ``theta = 0`` it equals ``M_q`` exactly.
 
@@ -191,9 +191,7 @@ def gain_coefficient(geom: GroupGeometry, theta: float) -> complex:
     -------
     complex
     """
-    m = np.arange(geom.subarray_size)
-    phases = (2.0 * np.pi / geom.wavelength) * m * geom.spacing * np.sin(theta)
-    return complex(np.sum(np.exp(1j * phases)))
+    return complex(np.sum(element_steering(geom, theta)))
 
 
 def element_steering(geom: GroupGeometry, theta: float) -> np.ndarray:

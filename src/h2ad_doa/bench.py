@@ -1,16 +1,18 @@
 """Monte-Carlo RMSE benchmark over SNR / snapshot / subarray-count grids.
 
-Every grid cell runs ``trials`` independent scenarios per method.  Trial
-seeds derive from (master seed, cell, trial) only, never from the
-method, so different methods consume identical snapshots and compare
-paired.  Trials that abort (degenerate spectrum, guard violations) are
-excluded from the RMSE and counted in the ``failures`` column.
+Every grid cell runs ``trials`` independent scenarios.  Trial seeds
+derive from (master seed, cell, trial) only, and each trial's candidate
+sets are computed once and scored by every method, so different methods
+consume identical snapshots and compare paired.  Trials that abort
+(degenerate spectrum, guard violations) are excluded from the RMSE and
+counted in the ``failures`` column.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -24,11 +26,11 @@ from .fusion import (
     AngleOutOfGuardError,
     GroupFailureError,
     NonPositiveCrlbError,
-    estimate_doa,
+    fuse_candidates,
     fused_crlb,
     group_candidates,
 )
-from .mbdnn import MlpModel, ModelFormatError, load_model, predict_doa
+from .mbdnn import ModelFormatError, load_model, predict_doa
 from .signal_sim import SimScenario, derive_seed
 
 METHODS = WEIGHTING_METHODS + ("mbdnn",)
@@ -75,6 +77,8 @@ class BenchSpec:
     def validate(self) -> "BenchSpec":
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed={self.master_seed} must be >= 0")
         empty_k = self.k_grid is not None and not self.k_grid
         if not self.snr_grid or not self.snapshot_grid or empty_k:
             raise ConfigError("empty sweep grid")
@@ -127,21 +131,11 @@ def _reported_k(cfg: ArrayConfig) -> int:
     return cfg.K[0] if len(set(cfg.K)) == 1 else 0
 
 
-def _run_trial(
-    method: str,
-    scenario: SimScenario,
-    model: MlpModel | None,
-) -> float:
-    """One trial's estimate in degrees."""
-    if method == "mbdnn":
-        sets = group_candidates(scenario)
-        return predict_doa(model, sets)
-    est = estimate_doa(scenario, method=method)
-    return math.degrees(est.theta_hat)
-
-
 def run_sweep(spec: BenchSpec) -> list[ResultRow]:
-    """Run the full grid for every requested method."""
+    """Run the full grid for every requested method.
+
+    A row's ``wall_ms`` is the cell's front-end time plus the method's own.
+    """
     model = None
     if "mbdnn" in spec.methods:
         try:
@@ -150,51 +144,51 @@ def run_sweep(spec: BenchSpec) -> list[ResultRow]:
             raise ModelLoadError(f"cannot load {spec.model_path}: {err}") from err
     theta0 = math.radians(spec.theta0_deg)
     rows: list[ResultRow] = []
-    k_values: tuple[int | None, ...] = spec.k_grid or (None,)
-    cell = 0
-    for k in k_values:
-        cfg = _cell_config(spec, k)
-        for snapshots in spec.snapshot_grid:
-            for snr in spec.snr_grid:
-                crlb_deg = math.degrees(
-                    math.sqrt(fused_crlb(cfg, theta0, snr, snapshots).fused_bound)
+    cfgs = [_cell_config(spec, k) for k in spec.k_grid or (None,)]
+    grid = itertools.product(cfgs, spec.snapshot_grid, spec.snr_grid)
+    for cell, (cfg, snapshots, snr) in enumerate(grid):
+        base = SimScenario(cfg, theta0, snr, snapshots)
+        crlb_deg = math.degrees(
+            math.sqrt(fused_crlb(cfg, theta0, snr, snapshots).fused_bound)
+        )
+        estimates: list[list[float]] = [[] for _ in spec.methods]
+        seconds = [0.0] * len(spec.methods)
+        front_s = 0.0
+        for trial in range(spec.trials):
+            start = time.perf_counter()
+            scenario = replace(base, seed=derive_seed(spec.master_seed, cell, trial))
+            try:
+                sets = group_candidates(scenario)
+            except GroupFailureError:
+                continue  # the trial fails for every method
+            finally:
+                front_s += time.perf_counter() - start
+            for i, method in enumerate(spec.methods):
+                start = time.perf_counter()
+                try:
+                    if method == "mbdnn":
+                        estimates[i].append(predict_doa(model, sets))
+                    else:
+                        est = fuse_candidates(scenario, sets, method)
+                        estimates[i].append(math.degrees(est.theta_hat))
+                except TRIAL_ERRORS:
+                    pass  # counted in the failures column
+                seconds[i] += time.perf_counter() - start
+        for method, used, spent in zip(spec.methods, estimates, seconds):
+            rmse = compute_rmse(used, spec.theta0_deg) if used else float("nan")
+            rows.append(
+                ResultRow(
+                    method=method,
+                    snr_db=float(snr),
+                    snapshots=int(snapshots),
+                    K=_reported_k(cfg),
+                    rmse_deg=rmse,
+                    crlb_fused_deg=crlb_deg,
+                    trials_used=len(used),
+                    failures=spec.trials - len(used),
+                    wall_ms=round((front_s + spent) * 1e3, 3),
                 )
-                for method in spec.methods:
-                    start = time.perf_counter()
-                    estimates: list[float] = []
-                    failures = 0
-                    for trial in range(spec.trials):
-                        scenario = SimScenario(
-                            cfg=cfg,
-                            theta0=theta0,
-                            snr_db=snr,
-                            snapshots=snapshots,
-                            seed=derive_seed(spec.master_seed, cell, trial),
-                        )
-                        try:
-                            estimates.append(_run_trial(method, scenario, model))
-                        except TRIAL_ERRORS:
-                            failures += 1
-                    wall_ms = round((time.perf_counter() - start) * 1e3, 3)
-                    rmse = (
-                        compute_rmse(estimates, spec.theta0_deg)
-                        if estimates
-                        else float("nan")
-                    )
-                    rows.append(
-                        ResultRow(
-                            method=method,
-                            snr_db=float(snr),
-                            snapshots=int(snapshots),
-                            K=_reported_k(cfg),
-                            rmse_deg=rmse,
-                            crlb_fused_deg=crlb_deg,
-                            trials_used=len(estimates),
-                            failures=failures,
-                            wall_ms=wall_ms,
-                        )
-                    )
-                cell += 1
+            )
     return rows
 
 

@@ -17,14 +17,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import mbdnn
 from .array_model import ConfigError, load_config
-from .fusion import (
-    fuse,
-    fused_crlb,
-    group_candidates,
-    select_true_tuple,
-    weights_crlb_ratio,
-    weights_exact,
-)
+from .fusion import fuse_candidates, group_candidates
 from .signal_sim import SimScenario, simulate_groups, write_snapshots
 
 
@@ -71,25 +64,23 @@ def _cmd_simulate(args) -> int:
 def _cmd_estimate(args) -> int:
     scenario = _scenario(args)
     sets = group_candidates(scenario)
-    selected = select_true_tuple(sets)
-    ratio_w = weights_crlb_ratio(scenario.cfg)
-    report = fused_crlb(scenario.cfg, selected.mean, scenario.snr_db, scenario.snapshots)
-    exact_w = weights_exact(report.per_group)
+    ratio = fuse_candidates(scenario, sets, "crlb_ratio")
+    exact = fuse_candidates(scenario, sets, "exact_crlb")
     result = {
         "candidates_deg": {
             str(cs.group_index): [float(v) for v in np.degrees(cs.angles)]
             for cs in sets
         },
         "phase_rad": {str(cs.group_index): cs.phase_hat for cs in sets},
-        "tuple_deg": [float(v) for v in np.degrees(selected.angles)],
-        "tuple_indices": list(selected.member_indices),
-        "dispersion_rad2": selected.dispersion,
-        "weights_crlb_ratio": [float(w) for w in ratio_w.weights],
-        "weights_exact_crlb": [float(w) for w in exact_w.weights],
-        "crlb_per_group_rad2": [float(c) for c in report.per_group],
-        "crlb_fused_rad2": report.fused_bound,
-        "fused_deg_crlb_ratio": math.degrees(fuse(selected, ratio_w)),
-        "fused_deg_exact_crlb": math.degrees(fuse(selected, exact_w)),
+        "tuple_deg": [float(v) for v in np.degrees(ratio.selected.angles)],
+        "tuple_indices": list(ratio.selected.member_indices),
+        "dispersion_rad2": ratio.selected.dispersion,
+        "weights_crlb_ratio": [float(w) for w in ratio.weights.weights],
+        "weights_exact_crlb": [float(w) for w in exact.weights.weights],
+        "crlb_per_group_rad2": [float(c) for c in exact.crlb.per_group],
+        "crlb_fused_rad2": exact.crlb.fused_bound,
+        "fused_deg_crlb_ratio": math.degrees(ratio.theta_hat),
+        "fused_deg_exact_crlb": math.degrees(exact.theta_hat),
     }
     if args.dump_candidates:
         with open(args.dump_candidates, "w") as fh:
@@ -107,6 +98,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_dataset(args) -> int:
     cfg = load_config(args.config)
+    if not (args.theta_step > 0 and args.snr_step > 0):
+        raise ConfigError("--theta-step and --snr-step must be positive")
     thetas = np.arange(args.theta_min, args.theta_max + 1e-9, args.theta_step)
     snrs = np.arange(args.snr_min, args.snr_max + 1e-9, args.snr_step)
     ds = mbdnn.generate_dataset(
@@ -124,22 +117,25 @@ def _cmd_dataset(args) -> int:
 
 def _cmd_train(args) -> int:
     spec = mbdnn.MlpSpec.from_config(load_config(args.config))
-    dataset = mbdnn.Dataset.load_csv(args.dataset)
-    if args.model_in:
-        model = mbdnn.load_model(args.model_in)
-    else:
-        model = mbdnn.init_model(spec, seed=args.seed)
     stages = ("mb_fcnn", "fusion_net") if args.stage == "all" else (args.stage,)
-    for stage in stages:
-        train_cfg = mbdnn.TrainConfig(
+    train_cfgs = [
+        mbdnn.TrainConfig(
             stage=stage,
             epochs=args.epochs,
             batch_size=args.batch_size,
             lr=args.lr,
             seed=args.seed,
         )
+        for stage in stages
+    ]
+    dataset = mbdnn.Dataset.load_csv(args.dataset)
+    if args.model_in:
+        model = mbdnn.load_model(args.model_in)
+    else:
+        model = mbdnn.init_model(spec, seed=args.seed)
+    for train_cfg in train_cfgs:
         _, history = mbdnn.train(model, dataset, train_cfg)
-        print(f"stage {stage}: final loss {history[-1]:.6g} deg^2")
+        print(f"stage {train_cfg.stage}: final loss {history[-1]:.6g} deg^2")
     mbdnn.save_model(model, args.out)
     print(f"wrote {args.out}")
     return 0

@@ -19,7 +19,8 @@ found by a sweep over the ``sum(M_q)`` cells between the groups' candidate
 midpoints, never by listing all ``prod(M_q)`` combinations.  The members
 are then averaged with inverse-CRLB weights, either from the exact
 per-group bound evaluated at a plug-in angle or from the closed-form
-large-``M`` ratio that needs only the subarray sizes.
+large-``M`` ratio that needs only the subarray sizes.  That back half is
+:func:`fuse_candidates`, which every weighted estimate goes through.
 """
 
 from __future__ import annotations
@@ -117,13 +118,17 @@ class CrlbReport:
 
 @dataclass(frozen=True)
 class FusedEstimate:
-    """Output of the full pipeline for one trial."""
+    """Output of the full pipeline for one trial.
+
+    ``crlb`` is the report behind ``exact_crlb`` weights, None for ``crlb_ratio``.
+    """
 
     theta_hat: float
     selected: TrueTuple
     weights: WeightVector
     candidate_sets: tuple[CandidateSet, ...]
     method: str
+    crlb: CrlbReport | None
 
 
 def _angle_arrays(sets: Sequence) -> list[np.ndarray]:
@@ -348,8 +353,10 @@ def _chained_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
     return tuple(sets)
 
 
-def estimate_doa(scenario: SimScenario, method: str = "crlb_ratio") -> FusedEstimate:
-    """Full pipeline: snapshots to fused angle estimate.
+def fuse_candidates(
+    scenario: SimScenario, sets: Sequence[CandidateSet], method: str = "crlb_ratio"
+) -> FusedEstimate:
+    """Back end of the pipeline: select the true tuple, weight, fuse.
 
     ``method`` picks the weighting: ``crlb_ratio`` uses the closed-form
     subarray-size weights; ``exact_crlb`` evaluates the exact per-group
@@ -358,8 +365,8 @@ def estimate_doa(scenario: SimScenario, method: str = "crlb_ratio") -> FusedEsti
     """
     if method not in WEIGHTING_METHODS:
         raise ValueError(f"unknown weighting method {method!r}")
-    sets = group_candidates(scenario)
     selected = select_true_tuple(sets)
+    report = None
     if method == "crlb_ratio":
         weights = weights_crlb_ratio(scenario.cfg)
     else:
@@ -371,6 +378,12 @@ def estimate_doa(scenario: SimScenario, method: str = "crlb_ratio") -> FusedEsti
         theta_hat=fuse(selected, weights),
         selected=selected,
         weights=weights,
-        candidate_sets=sets,
+        candidate_sets=tuple(sets),
         method=method,
+        crlb=report,
     )
+
+
+def estimate_doa(scenario: SimScenario, method: str = "crlb_ratio") -> FusedEstimate:
+    """Full pipeline: :func:`group_candidates`, then :func:`fuse_candidates`."""
+    return fuse_candidates(scenario, group_candidates(scenario), method)

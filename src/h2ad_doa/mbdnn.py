@@ -303,13 +303,31 @@ def _stage_loss_and_grads(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training stage's hyperparameters (Adam throughout)."""
+    """One training stage's hyperparameters (Adam throughout).
+
+    Construction checks them: an unknown stage, fewer than one epoch or
+    one sample per batch, a negative or non-finite learning rate, or a
+    negative seed raises ``ConfigError``.  A learning rate of 0 is legal
+    and leaves the parameters unchanged.
+    """
 
     stage: str
     epochs: int = 100
     batch_size: int = 256
     lr: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.stage not in STAGES:
+            raise ConfigError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
+        if self.epochs < 1:
+            raise ConfigError(f"epochs={self.epochs} must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size={self.batch_size} must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr={self.lr} must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed={self.seed} must be >= 0")
 
 
 @dataclass
@@ -409,12 +427,19 @@ def generate_dataset(
 
     The layout check (:meth:`MlpSpec.from_config`) and every cell's
     scenario come before the first trial, so a spacing other than half a
-    wavelength, or an invalid angle, SNR or snapshot count, raises
+    wavelength, an invalid angle, SNR or snapshot count, an empty grid,
+    ``trials_per_cell < 1`` or a negative master seed raises
     ``ConfigError`` before any work.
     Cells where any group's subspace collapses are skipped and counted,
     not imputed.  Deterministic for a given master seed.
     """
     spec = MlpSpec.from_config(cfg)
+    if len(thetas_deg) == 0 or len(snrs_db) == 0:
+        raise ConfigError("empty angle or SNR grid")
+    if trials_per_cell < 1:
+        raise ConfigError(f"trials_per_cell={trials_per_cell} must be >= 1")
+    if master_seed < 0:
+        raise ConfigError(f"master_seed={master_seed} must be >= 0")
     offsets = spec.feature_offsets()
     cells = [
         (ti, si, float(theta_deg),
@@ -467,8 +492,6 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
     (MlpModel, list of float)
         The model (same object) and the per-epoch loss history.
     """
-    if cfg.stage not in STAGES:
-        raise ValueError(f"unknown stage {cfg.stage!r}, expected one of {STAGES}")
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     if dataset.features.shape[1] != model.spec.feature_length:
@@ -512,7 +535,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
                 model.params[name] -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         history.append(epoch_loss / len(dataset))
     model.epochs_trained += cfg.epochs
-    model.stage_losses[cfg.stage] = history[-1] if history else float("nan")
+    model.stage_losses[cfg.stage] = history[-1]
     return model, history
 
 

@@ -1,12 +1,13 @@
 import json
 import math
+import time
 import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from h2ad_doa import bench, mbdnn
+from h2ad_doa import bench, fusion, mbdnn
 from h2ad_doa.array_model import ArrayConfig, ConfigError, save_config
 from h2ad_doa.bench import (
     CSV_HEADER,
@@ -59,6 +60,8 @@ def test_spec_validation():
         tiny_spec(snr_grid=(-math.inf,))
     with pytest.raises(ConfigError, match="subarray count"):
         tiny_spec(k_grid=(16, 1))
+    with pytest.raises(ConfigError, match="master_seed"):
+        tiny_spec(master_seed=-1)
 
 
 def test_run_sweep_row_grid():
@@ -86,11 +89,11 @@ def test_run_sweep_deterministic_modulo_wall():
 def test_paired_seeding_across_methods(monkeypatch):
     seen = {"crlb_ratio": [], "exact_crlb": []}
 
-    def recorder(scenario, method):
+    def recorder(scenario, sets, method):
         seen[method].append(int(scenario.seed))
         return types.SimpleNamespace(theta_hat=scenario.theta0)
 
-    monkeypatch.setattr("h2ad_doa.bench.estimate_doa", recorder)
+    monkeypatch.setattr("h2ad_doa.bench.fuse_candidates", recorder)
     run_sweep(tiny_spec(snr_grid=(0.0, 5.0), methods=("crlb_ratio", "exact_crlb")))
     assert seen["crlb_ratio"] == seen["exact_crlb"]
     assert len(seen["crlb_ratio"]) == 12
@@ -100,13 +103,13 @@ def test_paired_seeding_across_methods(monkeypatch):
 def test_failures_are_counted_not_imputed(monkeypatch):
     calls = {"n": 0}
 
-    def flaky(scenario, method):
+    def flaky(scenario, sets, method):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             raise GroupFailureError(0, RuntimeError("synthetic"))
         return types.SimpleNamespace(theta_hat=math.radians(41.5))
 
-    monkeypatch.setattr("h2ad_doa.bench.estimate_doa", flaky)
+    monkeypatch.setattr("h2ad_doa.bench.fuse_candidates", flaky)
     row = run_sweep(tiny_spec(trials=9))[0]
     assert row.failures == 3
     assert row.trials_used == 6
@@ -114,13 +117,58 @@ def test_failures_are_counted_not_imputed(monkeypatch):
 
 
 def test_all_failed_cell_reports_nan(monkeypatch):
-    def dead(scenario, method):
+    def dead(scenario, sets, method):
         raise GroupFailureError(0, RuntimeError("synthetic"))
 
-    monkeypatch.setattr("h2ad_doa.bench.estimate_doa", dead)
+    monkeypatch.setattr("h2ad_doa.bench.fuse_candidates", dead)
     row = run_sweep(tiny_spec())[0]
     assert row.trials_used == 0 and row.failures == 6
     assert math.isnan(row.rmse_deg)
+
+
+def test_sweep_runs_front_end_once_per_trial(monkeypatch):
+    # every front-end pass simulates the trial's groups once
+    seeds = []
+    real = fusion.simulate_groups
+    monkeypatch.setattr(fusion, "simulate_groups",
+                        lambda sc: seeds.append(sc.seed) or real(sc))
+    spec = tiny_spec(snr_grid=(0.0, 10.0), methods=("crlb_ratio", "exact_crlb"))
+    rows = run_sweep(spec)
+    assert len(seeds) == 2 * spec.trials  # cells x trials, not x methods
+    assert len(set(seeds)) == len(seeds)
+    assert all(r.trials_used == spec.trials for r in rows)
+
+
+def test_front_end_failure_fails_the_trial_for_every_method(monkeypatch, tmp_path):
+    model = mbdnn.init_model(mbdnn.MlpSpec.from_config(BASE_CFG), seed=1)
+    path = tmp_path / "m.mbdnn"
+    mbdnn.save_model(model, path)
+    calls = {"n": 0}
+    real = bench.group_candidates
+
+    def flaky(sc):
+        calls["n"] += 1
+        if calls["n"] % 3 == 0:
+            raise GroupFailureError(1, RuntimeError("synthetic"))
+        return real(sc)
+
+    monkeypatch.setattr("h2ad_doa.bench.group_candidates", flaky)
+    rows = run_sweep(tiny_spec(trials=9, methods=bench.METHODS, model_path=str(path)))
+    assert [(r.method, r.trials_used, r.failures) for r in rows] == [
+        (m, 6, 3) for m in bench.METHODS
+    ]
+
+
+def test_wall_ms_counts_the_shared_front_end_in_every_row(monkeypatch):
+    real = bench.group_candidates
+
+    def slow(sc):
+        time.sleep(0.01)
+        return real(sc)
+
+    monkeypatch.setattr("h2ad_doa.bench.group_candidates", slow)
+    rows = run_sweep(tiny_spec(trials=3, methods=("crlb_ratio", "exact_crlb")))
+    assert all(r.wall_ms >= 30.0 for r in rows)
 
 
 def test_wall_ms_grows_with_subarray_count():
@@ -337,3 +385,75 @@ def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field,
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+# The exit-code contract, one row per numeric flag at 0 and at -1 on a small
+# valid command: 0 on success, 2 for input refused before any trial, 3 for a
+# runtime failure.  An exception escaping cli_main is the console script's
+# exit 1 with a traceback, and fails the test.
+_EXIT_BASE = {
+    "estimate": ["--snapshots", "32"],
+    "simulate": ["--snapshots", "8", "--out", "{out}"],
+    "predict": ["--model", "{model}", "--snapshots", "32"],
+    "dataset": ["--theta-min", "30", "--theta-max", "50", "--theta-step", "10",
+                "--snr-min", "10", "--snr-max", "10", "--snr-step", "5",
+                "--trials", "1", "--snapshots", "32", "--out", "{out}"],
+    "train": ["--dataset", "{dataset}", "--stage", "all", "--epochs", "1",
+              "--batch-size", "4", "--out", "{out}"],
+    "bench": ["--snr-grid", "10", "--snapshot-grid", "32", "--trials", "1"],
+}
+_SCENARIO_FLAGS = [("--theta0-deg", 0, 0), ("--snr-db", 0, 0), ("--snapshots", 2, 2),
+                   ("--seed", 0, 0)]
+_EXIT_TABLE = [  # (command, flag, exit code at 0, exit code at -1)
+    *[("estimate", *row) for row in _SCENARIO_FLAGS],
+    *[("simulate", *row) for row in _SCENARIO_FLAGS],
+    *[("predict", *row) for row in _SCENARIO_FLAGS],
+    ("dataset", "--theta-min", 0, 0),
+    ("dataset", "--theta-max", 2, 2),  # below --theta-min: an empty grid
+    ("dataset", "--theta-step", 2, 2),
+    ("dataset", "--snr-min", 0, 0),
+    ("dataset", "--snr-max", 2, 2),
+    ("dataset", "--snr-step", 2, 2),
+    ("dataset", "--trials", 2, 2),
+    ("dataset", "--snapshots", 2, 2),
+    ("dataset", "--seed", 0, 2),
+    ("train", "--epochs", 2, 2),
+    ("train", "--batch-size", 2, 2),
+    ("train", "--lr", 0, 2),
+    ("train", "--seed", 0, 2),
+    ("bench", "--theta0-deg", 0, 0),
+    ("bench", "--snr-grid", 0, 0),
+    ("bench", "--snapshot-grid", 2, 2),
+    ("bench", "--k-grid", 2, 2),
+    ("bench", "--trials", 2, 2),
+    ("bench", "--seed", 0, 2),
+]
+
+
+@pytest.fixture(scope="module")
+def exit_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("exit")
+    save_config(BASE_CFG, root / "cfg.json")
+    mbdnn.generate_dataset(BASE_CFG, [30.0, 40.0, 50.0], [10.0], 2,
+                           snapshots=32).save_csv(root / "ds.csv")
+    model = mbdnn.init_model(mbdnn.MlpSpec.from_config(BASE_CFG), seed=1)
+    mbdnn.save_model(model, root / "m.mbdnn")
+    return {"config": str(root / "cfg.json"), "dataset": str(root / "ds.csv"),
+            "model": str(root / "m.mbdnn")}
+
+
+_EXIT_ROWS = [(c, f, v, code) for c, f, *codes in _EXIT_TABLE
+              for v, code in zip((0, -1), codes)]
+
+
+@pytest.mark.parametrize("command, flag, value, code", _EXIT_ROWS,
+                         ids=[f"{c}{f}={v}" for c, f, v, _ in _EXIT_ROWS])
+def test_cli_numeric_flag_exit_codes(exit_files, tmp_path, capsys, command, flag, value,
+                                     code):
+    fill = {**exit_files, "out": str(tmp_path / "out")}
+    base = [arg.format(**fill) for arg in _EXIT_BASE[command]]
+    argv = [command, "--config", exit_files["config"], *base, f"{flag}={value}"]
+    assert cli_main(argv) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not any(tmp_path.iterdir())

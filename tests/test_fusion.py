@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from h2ad_doa.array_model import ArrayConfig, ConfigError
+from h2ad_doa.array_model import ArrayConfig, ConfigError, gain_coefficient
 from h2ad_doa.fusion import (
     AngleOutOfGuardError,
     GroupFailureError,
@@ -15,6 +15,7 @@ from h2ad_doa.fusion import (
     crlb_group_exact,
     estimate_doa,
     fuse,
+    fuse_candidates,
     fused_crlb,
     group_candidates,
     select_true_tuple,
@@ -374,3 +375,46 @@ def test_estimate_seed_paired_methods_share_tuple():
     b = estimate_doa(scenario(seed=12), method="exact_crlb")
     assert np.array_equal(a.selected.angles, b.selected.angles)
     assert a.theta_hat != b.theta_hat  # weights differ off broadside
+
+
+@pytest.mark.parametrize("method", ["crlb_ratio", "exact_crlb"])
+def test_estimate_doa_is_fusion_of_group_candidates(method):
+    sc = scenario(seed=9)
+    sets = group_candidates(sc)
+    est = fuse_candidates(sc, sets, method)
+    assert est.theta_hat == estimate_doa(sc, method).theta_hat
+    assert est.candidate_sets == sets
+    if method == "crlb_ratio":
+        assert est.crlb is None
+    else:
+        # the report the weights came from, at the tuple-mean plug-in angle
+        assert est.crlb == fused_crlb(BASE_CFG, est.selected.mean, 0.0, 200)
+        assert np.array_equal(est.weights.weights,
+                              weights_exact(est.crlb.per_group).weights)
+
+
+@st.composite
+def _coprime_configs(draw):
+    # pairwise coprime by construction: each size is drawn from those
+    # coprime to the sizes already drawn
+    sizes: list[int] = []
+    for _ in range(draw(st.integers(2, 4))):
+        coprime = [v for v in range(2, 32) if all(math.gcd(v, m) == 1 for m in sizes)]
+        sizes.append(draw(st.sampled_from(coprime)))
+    ks = [draw(st.integers(2, 24)) for _ in sizes]
+    return ArrayConfig(M=tuple(sizes), K=tuple(ks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_coprime_configs(), theta_deg=st.floats(-69.0, 69.0),
+       seed=st.integers(0, 2**32))
+def test_noiseless_recovery_on_random_coprime_configs(cfg, theta_deg, seed):
+    # K_q spans both sides of 18, so the companion and the certified
+    # rooting paths both take part.  Noiseless signal roots are double
+    # roots on the unit circle, which costs digits: 1e-8 rad, not less.
+    theta = math.radians(theta_deg)
+    # a group in a combining null hears nothing, even without noise
+    assume(all(abs(gain_coefficient(cfg.group(q), theta)) / m >= 0.05
+               for q, m in enumerate(cfg.M)))
+    sc = SimScenario(cfg=cfg, theta0=theta, snr_db=math.inf, snapshots=32, seed=seed)
+    assert abs(estimate_doa(sc, "crlb_ratio").theta_hat - theta) <= 1e-8

@@ -211,6 +211,18 @@ def test_train_rejects_bad_stage_and_empty_data():
         train(model, random_dataset(0), TrainConfig(stage="mb_fcnn"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("stage", "warmup"), ("epochs", 0), ("epochs", -1), ("batch_size", 0),
+    ("batch_size", -1), ("lr", -1e-4), ("lr", math.nan), ("lr", math.inf),
+    ("seed", -1),
+])
+def test_train_config_rejects_bad_values(field, value):
+    # refused at construction, before a dataset or model is touched
+    kw = {"stage": "mb_fcnn", field: value}
+    with pytest.raises(ConfigError, match=field if field != "stage" else "warmup"):
+        TrainConfig(**kw)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_train_raises_on_nonfinite():
     model = init_model(SPEC, seed=1)
@@ -288,6 +300,21 @@ def test_generate_dataset_checks_every_cell_before_any_trial(monkeypatch, thetas
     with pytest.raises(ConfigError, match=field):
         generate_dataset(BASE_CFG, thetas_deg=thetas_deg, snrs_db=snrs_db,
                          trials_per_cell=2, snapshots=32)
+    assert calls == []
+
+
+@pytest.mark.parametrize("kw, match", [
+    ({"thetas_deg": []}, "empty"),
+    ({"snrs_db": np.arange(10.0, 0.0, 5.0)}, "empty"),
+    ({"trials_per_cell": 0}, "trials_per_cell"),
+    ({"master_seed": -1}, "master_seed"),
+])
+def test_generate_dataset_rejects_empty_request(monkeypatch, kw, match):
+    calls = []
+    monkeypatch.setattr(mbdnn, "group_candidates", lambda sc: calls.append(sc))
+    args = dict(thetas_deg=[10.0], snrs_db=[10.0], trials_per_cell=1, snapshots=32)
+    with pytest.raises(ConfigError, match=match):
+        generate_dataset(BASE_CFG, **{**args, **kw})
     assert calls == []
 
 
