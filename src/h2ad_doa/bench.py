@@ -30,7 +30,7 @@ from .fusion import (
     fused_crlb,
     group_candidates,
 )
-from .mbdnn import ModelFormatError, load_model, predict_doa
+from .mbdnn import ModelFormatError, load_model_for, predict_doa
 from .signal_sim import SimScenario, derive_seed
 
 METHODS = WEIGHTING_METHODS + ("mbdnn",)
@@ -139,7 +139,7 @@ def run_sweep(spec: BenchSpec) -> list[ResultRow]:
     model = None
     if "mbdnn" in spec.methods:
         try:
-            model = load_model(spec.model_path)
+            model = load_model_for(spec.cfg, spec.model_path)
         except (ModelFormatError, OSError) as err:
             raise ModelLoadError(f"cannot load {spec.model_path}: {err}") from err
     theta0 = math.radians(spec.theta0_deg)

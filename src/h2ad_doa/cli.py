@@ -100,6 +100,10 @@ def _cmd_dataset(args) -> int:
     cfg = load_config(args.config)
     if not (args.theta_step > 0 and args.snr_step > 0):
         raise ConfigError("--theta-step and --snr-step must be positive")
+    for flag in ("theta_min", "theta_max", "snr_min", "snr_max"):
+        value = getattr(args, flag)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{flag.replace('_', '-')}={value} must be finite")
     thetas = np.arange(args.theta_min, args.theta_max + 1e-9, args.theta_step)
     snrs = np.arange(args.snr_min, args.snr_max + 1e-9, args.snr_step)
     ds = mbdnn.generate_dataset(
@@ -116,7 +120,8 @@ def _cmd_dataset(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    spec = mbdnn.MlpSpec.from_config(load_config(args.config))
+    cfg = load_config(args.config)
+    spec = mbdnn.MlpSpec.from_config(cfg)
     stages = ("mb_fcnn", "fusion_net") if args.stage == "all" else (args.stage,)
     train_cfgs = [
         mbdnn.TrainConfig(
@@ -130,7 +135,7 @@ def _cmd_train(args) -> int:
     ]
     dataset = mbdnn.Dataset.load_csv(args.dataset)
     if args.model_in:
-        model = mbdnn.load_model(args.model_in)
+        model = mbdnn.load_model_for(cfg, args.model_in)
     else:
         model = mbdnn.init_model(spec, seed=args.seed)
     for train_cfg in train_cfgs:
@@ -143,8 +148,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     scenario = _scenario(args)
-    mbdnn.MlpSpec.from_config(scenario.cfg)
-    model = mbdnn.load_model(args.model)
+    model = mbdnn.load_model_for(scenario.cfg, args.model)
     sets = group_candidates(scenario)
     prediction = mbdnn.predict_doa(model, sets)
     if args.json:
@@ -225,8 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the fusion network")
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--stage", choices=("mb_fcnn", "fusion_net", "joint", "all"),
-                   default="all")
+    p.add_argument("--stage", choices=(*mbdnn.STAGES, "all"), default="all")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--lr", type=float, default=1e-4)

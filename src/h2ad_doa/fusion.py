@@ -7,9 +7,9 @@ each group's covariance comes from its own (K_q, T) snapshot block, and
 the groups are split into classes of equal ``K_q``.  Each class runs one
 stacked eigensolve, one stacked polynomial build and, below ``K_q = 18``,
 one stacked companion rooting (see :mod:`h2ad_doa.subspace`).  The
-candidate sets equal the per-group chain's bit for bit.  If anything in
-the stacked pass raises, the trial's groups rerun that chain one at a
-time in group order, so a failure names the same group and cause.
+candidate sets equal the per-group chain's bit for bit.  If a stack
+fails, the same pass runs again with one group per stack, in group
+order, so a failure names the same group and cause as the chain.
 
 Coprime subarray sizes guarantee the groups' candidate sets intersect in
 exactly one angle.  With noise the common angle spreads into a tight
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,15 +36,12 @@ from .signal_sim import (
     SimScenario,
     check_operating_point,
     sample_covariance,
-    simulate_group,
     simulate_groups,
 )
 from .subspace import (
     CandidateSet,
     enumerate_candidates,
-    noise_subspace,
     noise_subspaces,
-    root_music_phase,
     root_music_phases,
 )
 
@@ -191,7 +188,8 @@ def crlb_group_exact(
     (radians) and per-element SNR ``snr_db``, with the snapshot count as
     the observation length.  Valid for ``|theta0|`` under the 70 degree
     guard; beyond it the bound's small-error assumptions are off.
-    ``snapshots < 1`` and a NaN or ``-inf`` SNR raise ``ConfigError``.
+    ``snapshots < 1`` and an SNR that is NaN, ``-inf`` or finite beyond
+    ``SNR_DB_LIMIT`` in magnitude raise ``ConfigError``.
     """
     check_operating_point(snr_db, snapshots)
     _guard_angle(theta0)
@@ -307,50 +305,38 @@ def group_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
     group's covariance is formed from its own snapshot block, and the
     groups that share a ``K_q`` go through :func:`noise_subspaces` and
     :func:`root_music_phases` together.  Every candidate set equals the
-    one the per-group chain (:func:`simulate_group`,
-    :func:`sample_covariance`, :func:`noise_subspace`,
-    :func:`root_music_phase`) gives, bit for bit.
+    one the per-group chain (:func:`~h2ad_doa.signal_sim.simulate_group`,
+    :func:`sample_covariance`, :func:`~h2ad_doa.subspace.noise_subspace`,
+    :func:`~h2ad_doa.subspace.root_music_phase`) gives, bit for bit.
 
-    If the stacked pass raises, the groups run that chain one at a time
-    in group order, so a failure aborts the trial via
-    :class:`GroupFailureError` tagged with the first failing group and
-    carrying the same cause as the chain's.
+    If a stack fails, the pass runs again with one group per stack, in
+    group order, so the :class:`GroupFailureError` that aborts the trial
+    names the first failing group and carries the chain's cause.
     """
+    classes: dict[int, list[int]] = {}
+    for q, k in enumerate(scenario.cfg.K):
+        classes.setdefault(k, []).append(q)
     try:
-        return _stacked_candidates(scenario)
-    except Exception:
-        # The per-group chain decides what a failing trial raises, and
-        # for which group.
-        return _chained_candidates(scenario)
+        return _candidates(scenario, classes.values())
+    except GroupFailureError:
+        return _candidates(scenario, [[q] for q in range(scenario.cfg.num_groups)])
 
 
-def _stacked_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
+def _candidates(
+    scenario: SimScenario, stacks: Iterable[list[int]]
+) -> tuple[CandidateSet, ...]:
+    """One front-end pass; a failing stack is named by its first member."""
     cfg = scenario.cfg
     covs = [sample_covariance(snap) for snap in simulate_groups(scenario)]
     phases = [0.0] * cfg.num_groups
-    size_classes: dict[int, list[int]] = {}
-    for q, k in enumerate(cfg.K):
-        size_classes.setdefault(k, []).append(q)
-    for members in size_classes.values():
-        stack = noise_subspaces(np.stack([covs[q] for q in members]))
-        for q, phase in zip(members, root_music_phases(stack)):
-            phases[q] = phase
-    return tuple(enumerate_candidates(phases[q], cfg.group(q)) for q in range(cfg.num_groups))
-
-
-def _chained_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
-    sets = []
-    for q in range(scenario.cfg.num_groups):
-        geom = scenario.cfg.group(q)
+    for members in stacks:
         try:
-            snaps = simulate_group(scenario, q)
-            cov = sample_covariance(snaps)
-            ns = noise_subspace(cov)
-            phase = root_music_phase(ns, geom)
-            sets.append(enumerate_candidates(phase, geom))
+            stack = noise_subspaces(np.stack([covs[q] for q in members]))
+            for q, phase in zip(members, root_music_phases(stack)):
+                phases[q] = phase
         except (ValueError, RuntimeError) as err:
-            raise GroupFailureError(q, err) from err
-    return tuple(sets)
+            raise GroupFailureError(members[0], err) from err
+    return tuple(enumerate_candidates(phases[q], cfg.group(q)) for q in range(cfg.num_groups))
 
 
 def fuse_candidates(

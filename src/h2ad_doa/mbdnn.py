@@ -146,11 +146,22 @@ class MlpModel:
         default_factory=lambda: {s: float("nan") for s in STAGES}
     )
 
-    def backbone_names(self) -> list[str]:
-        return [n for n, _ in self.spec.parameter_shapes() if not n.startswith("fusion_")]
+    def trained_names(self, stage: str) -> list[str]:
+        """Parameters that training ``stage`` updates, in declared order.
 
-    def fusion_names(self) -> list[str]:
-        return ["fusion_w", "fusion_b"]
+        ``mb_fcnn`` trains the backbone (everything but the final fusion
+        layer), ``fusion_net`` only that layer, ``joint`` everything.
+        """
+        names = [n for n, _ in self.spec.parameter_shapes()]
+        fusion = ["fusion_w", "fusion_b"]
+        table = {
+            "mb_fcnn": [n for n in names if n not in fusion],
+            "fusion_net": fusion,
+            "joint": names,
+        }
+        if stage not in table:
+            raise ValueError(f"unknown stage {stage!r}, expected one of {STAGES}")
+        return table[stage]
 
 
 def init_model(spec: MlpSpec, seed: int = 0) -> MlpModel:
@@ -499,12 +510,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
             f"dataset feature length {dataset.features.shape[1]} does not "
             f"match model feature length {model.spec.feature_length}"
         )
-    if cfg.stage == "mb_fcnn":
-        trained = model.backbone_names()
-    elif cfg.stage == "fusion_net":
-        trained = model.fusion_names()
-    else:
-        trained = [n for n, _ in model.spec.parameter_shapes()]
+    trained = model.trained_names(cfg.stage)
     adam_m = {n: np.zeros_like(model.params[n]) for n in trained}
     adam_v = {n: np.zeros_like(model.params[n]) for n in trained}
     rng = np.random.default_rng(cfg.seed)
@@ -572,12 +578,8 @@ def grad_check(
     rng = np.random.default_rng(seed)
     x = _as_batch(model.spec, sample.features)
     worst = 0.0
-    stage_params = {
-        "mb_fcnn": model.backbone_names(),
-        "fusion_net": model.fusion_names(),
-        "joint": [n for n, _ in model.spec.parameter_shapes()],
-    }
-    for stage, names in stage_params.items():
+    for stage in STAGES:
+        names = model.trained_names(stage)
         _, grads = _stage_loss_and_grads(
             model, stage, x, sample.label_tuple, sample.label_theta
         )
@@ -682,4 +684,27 @@ def load_model(path) -> MlpModel:
         cursor += count
     model = MlpModel(spec=spec, params=params, seed=int(seed), epochs_trained=int(epochs))
     model.stage_losses = dict(zip(STAGES, (float(v) for v in losses)))
+    return model
+
+
+def load_model_for(cfg: ArrayConfig, path) -> MlpModel:
+    """Load the model at ``path`` and check that it fits ``cfg``.
+
+    The layout check (:meth:`MlpSpec.from_config`) runs before the file
+    is read.  A model saved for other subarray sizes would read the
+    wrong groups' candidates, or none, so it is refused too.
+
+    Raises
+    ------
+    ConfigError
+        If ``cfg`` has no MLP layout, or the model's ``M`` differs from it.
+    ModelFormatError, OSError
+        If the file cannot be read as a model.
+    """
+    spec = MlpSpec.from_config(cfg)
+    model = load_model(path)
+    if model.spec != spec:
+        raise ConfigError(
+            f"model {path} was saved for M={model.spec.M}, the config has M={spec.M}"
+        )
     return model

@@ -42,8 +42,14 @@ class SnapshotFormatError(IOError):
     """A snapshot file that cannot be parsed."""
 
 
+#: Largest finite ``|snr_db|`` accepted.  From about +3000 dB the exact
+#: CRLB overflows, and past about +-3080 dB so does ``10**(snr_db/10)``.
+SNR_DB_LIMIT = 1000.0
+
+
 def check_operating_point(snr_db: float, snapshots: int) -> None:
-    """Reject a snapshot count below one and an SNR that is NaN or -inf.
+    """Reject a snapshot count below one and an SNR that is NaN, -inf or
+    finite beyond ``SNR_DB_LIMIT`` in magnitude (+inf is noiseless).
 
     Raises
     ------
@@ -52,8 +58,10 @@ def check_operating_point(snr_db: float, snapshots: int) -> None:
     """
     if snapshots < 1:
         raise ConfigError(f"snapshots={snapshots} must be >= 1")
-    if not snr_db > -np.inf:
-        raise ConfigError(f"snr_db={snr_db} must be a number or +inf")
+    if not (snr_db == np.inf or abs(snr_db) <= SNR_DB_LIMIT):
+        raise ConfigError(
+            f"snr_db={snr_db} must be within +-{SNR_DB_LIMIT:g} dB or +inf"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,9 @@ class SimScenario:
         True direction of arrival, radians, strictly inside
         ``(-pi/2, pi/2)``.
     snr_db : float
-        Per-element SNR in dB.  ``inf`` yields a noiseless simulation;
-        NaN and ``-inf`` are rejected.
+        Per-element SNR in dB, within ``+-SNR_DB_LIMIT``.  ``inf`` yields
+        a noiseless simulation; NaN, ``-inf`` and finite values beyond the
+        limit are rejected.
     snapshots : int
         Number of snapshots ``T``.
     seed : int

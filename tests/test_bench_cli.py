@@ -387,10 +387,40 @@ def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-# The exit-code contract, one row per numeric flag at 0 and at -1 on a small
-# valid command: 0 on success, 2 for input refused before any trial, 3 for a
-# runtime failure.  An exception escaping cli_main is the console script's
-# exit 1 with a traceback, and fails the test.
+@pytest.mark.parametrize("saved_for", [(5, 7, 11), (11, 7, 13)],
+                         ids=["other-sizes", "same-sizes-reordered"])
+@pytest.mark.parametrize("command", ["predict", "train", "bench"])
+def test_cli_refuses_model_for_other_subarray_sizes(cfg_file, tmp_path, capsys,
+                                                    monkeypatch, command, saved_for):
+    # a model saved for other sizes exits 2 before any trial; one with the
+    # same feature length would otherwise read the wrong groups' candidates
+    model = str(tmp_path / "m.mbdnn")
+    mbdnn.save_model(mbdnn.init_model(mbdnn.MlpSpec(M=saved_for), seed=1), model)
+    ds = tmp_path / "ds.csv"
+    mbdnn.generate_dataset(BASE_CFG, [40.0], [10.0], 1, snapshots=32).save_csv(ds)
+    passes = []
+    simulate = fusion.simulate_groups
+    monkeypatch.setattr(fusion, "simulate_groups", lambda sc: passes.append(sc) or simulate(sc))
+    out = tmp_path / "out"
+    argv = {
+        "predict": ["--model", model, "--snapshots", "32"],
+        "train": ["--dataset", str(ds), "--model-in", model, "--epochs", "1",
+                  "--out", str(out)],
+        "bench": ["--methods", "mbdnn", "--model", model, "--snr-grid", "10",
+                  "--snapshot-grid", "32", "--trials", "2", "--out", str(out)],
+    }[command]
+    assert cli_main([command, "--config", cfg_file, *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert f"M={saved_for}" in err and f"M={BASE_CFG.M}" in err
+    assert not passes and not out.exists()
+
+
+# The exit-code contract, one row per numeric flag on a small valid command,
+# at 0 and -1 and, for the float flags, at nan, inf, -inf and 4000: 0 on
+# success, 2 for input refused before any trial, 3 for a runtime failure.
+# An exception escaping cli_main is the console script's exit 1 with a
+# traceback, and fails the test.
 _EXIT_BASE = {
     "estimate": ["--snapshots", "32"],
     "simulate": ["--snapshots", "8", "--out", "{out}"],
@@ -402,27 +432,37 @@ _EXIT_BASE = {
               "--batch-size", "4", "--out", "{out}"],
     "bench": ["--snr-grid", "10", "--snapshot-grid", "32", "--trials", "1"],
 }
-_SCENARIO_FLAGS = [("--theta0-deg", 0, 0), ("--snr-db", 0, 0), ("--snapshots", 2, 2),
-                   ("--seed", 0, 0)]
-_EXIT_TABLE = [  # (command, flag, exit code at 0, exit code at -1)
-    *[("estimate", *row) for row in _SCENARIO_FLAGS],
-    *[("simulate", *row) for row in _SCENARIO_FLAGS],
-    *[("predict", *row) for row in _SCENARIO_FLAGS],
-    ("dataset", "--theta-min", 0, 0),
-    ("dataset", "--theta-max", 2, 2),  # below --theta-min: an empty grid
-    ("dataset", "--theta-step", 2, 2),
-    ("dataset", "--snr-min", 0, 0),
-    ("dataset", "--snr-max", 2, 2),
-    ("dataset", "--snr-step", 2, 2),
+_EXIT_VALUES = (0, -1, "nan", "inf", "-inf", 4000)
+
+
+def _scenario_rows(command, noiseless):
+    # noiseless: the exit code at --snr-db=inf
+    return [(command, "--theta0-deg", 0, 0, 2, 2, 2, 2),
+            (command, "--snr-db", 0, 0, 2, noiseless, 2, 2),
+            (command, "--snapshots", 2, 2),
+            (command, "--seed", 0, 0)]
+
+
+_EXIT_TABLE = [  # (command, flag, exit code at each of _EXIT_VALUES in turn)
+    # noiseless bounds are zero, which exact-CRLB weights cannot invert
+    *_scenario_rows("estimate", 3),
+    *_scenario_rows("simulate", 0),
+    *_scenario_rows("predict", 0),
+    ("dataset", "--theta-min", 0, 0, 2, 2, 2, 2),  # 4000: an empty grid
+    ("dataset", "--theta-max", 2, 2, 2, 2, 2, 2),  # below --theta-min: an empty grid
+    ("dataset", "--theta-step", 2, 2, 2, 0, 2, 0),  # inf, 4000: one angle
+    ("dataset", "--snr-min", 0, 0, 2, 2, 2, 2),
+    ("dataset", "--snr-max", 2, 2, 2, 2, 2, 2),
+    ("dataset", "--snr-step", 2, 2, 2, 0, 2, 0),
     ("dataset", "--trials", 2, 2),
     ("dataset", "--snapshots", 2, 2),
     ("dataset", "--seed", 0, 2),
     ("train", "--epochs", 2, 2),
     ("train", "--batch-size", 2, 2),
-    ("train", "--lr", 0, 2),
+    ("train", "--lr", 0, 2, 2, 2, 2, 0),
     ("train", "--seed", 0, 2),
-    ("bench", "--theta0-deg", 0, 0),
-    ("bench", "--snr-grid", 0, 0),
+    ("bench", "--theta0-deg", 0, 0, 2, 2, 2, 2),
+    ("bench", "--snr-grid", 0, 0, 2, 0, 2, 2),
     ("bench", "--snapshot-grid", 2, 2),
     ("bench", "--k-grid", 2, 2),
     ("bench", "--trials", 2, 2),
@@ -443,7 +483,7 @@ def exit_files(tmp_path_factory):
 
 
 _EXIT_ROWS = [(c, f, v, code) for c, f, *codes in _EXIT_TABLE
-              for v, code in zip((0, -1), codes)]
+              for v, code in zip(_EXIT_VALUES, codes)]
 
 
 @pytest.mark.parametrize("command, flag, value, code", _EXIT_ROWS,

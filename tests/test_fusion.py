@@ -181,6 +181,8 @@ def test_crlb_guard_region(fn):
     (0.0, -3, "snapshots"),
     (-math.inf, 200, "snr_db"),
     (math.nan, 200, "snr_db"),
+    (1001.0, 200, "snr_db"),
+    (-1001.0, 200, "snr_db"),
 ])
 @pytest.mark.parametrize("fn", [
     lambda snr, t: fused_crlb(BASE_CFG, 0.7, snr, t),
@@ -188,9 +190,26 @@ def test_crlb_guard_region(fn):
     lambda snr, t: crlb_group_approx(BASE_CFG, 0, 0.7, snr, t),
 ], ids=["fused_crlb", "crlb_group_exact", "crlb_group_approx"])
 def test_crlb_rejects_invalid_operating_point(fn, snr_db, snapshots, field):
-    # previously a ZeroDivisionError, an infinite bound or a NaN bound
+    # previously a ZeroDivisionError, an OverflowError, an infinite bound
+    # or a NaN bound
     with pytest.raises(ConfigError, match=field):
         fn(snr_db, snapshots)
+
+
+@pytest.mark.parametrize("snr_db", [-1000.0, 1000.0])
+def test_extreme_snr_at_the_limit_runs_cleanly(snr_db):
+    # RuntimeWarnings are errors in this suite, so no overflow hides here
+    for ks in ((2, 2, 2), (16, 16, 16), (64, 64, 64), (8, 12, 16)):
+        cfg = ArrayConfig(M=(7, 11, 13), K=ks)
+        for snapshots in (1, 200):
+            report = fused_crlb(cfg, THETA41, snr_db, snapshots)
+            assert all(0.0 < c < math.inf for c in report.per_group)
+            sc = scenario(cfg=cfg, snr_db=snr_db, snapshots=snapshots, seed=5)
+            for method in ("crlb_ratio", "exact_crlb"):
+                theta_hat = estimate_doa(sc, method).theta_hat
+                assert math.isfinite(theta_hat)
+                if snr_db > 0:
+                    assert abs(theta_hat - THETA41) < 1e-6
 
 
 def test_weights_exact_inverse_crlb():
@@ -348,6 +367,23 @@ def test_stacked_failure_names_first_failing_group(monkeypatch, k, broken, label
     assert info.value.group_index == label
     assert type(info.value.__cause__) is cause
     assert str(info.value.__cause__) == str(err)
+
+
+def test_other_exceptions_propagate_after_one_pass(monkeypatch):
+    # only ValueError and RuntimeError are group failures; anything else
+    # escapes the first pass unwrapped, without a rerun
+    passes, draws = [], []
+    simulate, draw = fusion.simulate_groups, signal_sim.emitter_waveform
+    monkeypatch.setattr(fusion, "simulate_groups", lambda sc: passes.append(sc) or simulate(sc))
+    monkeypatch.setattr(signal_sim, "emitter_waveform", lambda sc: draws.append(sc) or draw(sc))
+
+    def broken(covs):
+        raise ZeroDivisionError("synthetic")
+
+    monkeypatch.setattr(fusion, "noise_subspaces", broken)
+    with pytest.raises(ZeroDivisionError, match="synthetic"):
+        group_candidates(scenario(snr_db=10.0))
+    assert (len(passes), len(draws)) == (1, 1)
 
 
 def test_group_candidates_counts():

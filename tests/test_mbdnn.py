@@ -185,12 +185,12 @@ def test_train_deterministic_by_seed():
 def test_train_stage_isolation():
     ds = random_dataset(32)
     model = init_model(SPEC, seed=1)
-    frozen = {k: model.params[k].copy() for k in model.fusion_names()}
+    frozen = {k: model.params[k].copy() for k in model.trained_names("fusion_net")}
     train(model, ds, TrainConfig(stage="mb_fcnn", epochs=2, lr=1e-3))
     assert all(np.array_equal(frozen[k], model.params[k]) for k in frozen)
 
     model = init_model(SPEC, seed=1)
-    frozen = {k: model.params[k].copy() for k in model.backbone_names()}
+    frozen = {k: model.params[k].copy() for k in model.trained_names("mb_fcnn")}
     train(model, ds, TrainConfig(stage="fusion_net", epochs=2, lr=1e-3))
     assert all(np.array_equal(frozen[k], model.params[k]) for k in frozen)
     assert model.epochs_trained == 2

@@ -43,7 +43,7 @@ def test_scenario_validation():
     scenario(theta0=math.radians(89.9)).validate()
 
 
-@pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 1001.0, -1001.0])
 def test_scenario_rejects_undefined_snr(snr_db):
     with pytest.raises(ValueError, match="snr_db"):
         scenario(snr_db=snr_db).validate()
