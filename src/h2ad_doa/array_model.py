@@ -237,12 +237,32 @@ def position_weighted_gain(geom: GroupGeometry, theta: float) -> complex:
     return complex(np.sum(positions * np.conj(element_steering(geom, theta))))
 
 
+def _integer(key: str, value) -> int:
+    """A JSON integer, or an integral number such as ``16.0``, as ``int``."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
+
+
+def _number(key: str, value) -> float:
+    """A finite JSON number as ``float``."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {json.dumps(value)}")
+    return number
+
+
 def load_config(path) -> ArrayConfig:
     """Read and validate a JSON config file.
 
     Expected keys: ``groups`` (int), ``M`` (list), ``K`` (list),
     ``d_over_lambda`` (float, optional), ``lambda_m`` (float, optional).
-    Unknown keys are rejected.
+    Unknown keys are rejected, and so is any value of the wrong type:
+    booleans, strings and null, a fraction where an integer is expected,
+    and a non-finite number.
     """
     try:
         with open(path) as fh:
@@ -257,20 +277,21 @@ def load_config(path) -> ArrayConfig:
     for key in ("groups", "M", "K"):
         if key not in raw:
             raise ConfigError(f"config {path} is missing required key '{key}'")
-    try:
-        M = tuple(int(v) for v in raw["M"])
-        K = tuple(int(v) for v in raw["K"])
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"M and K must be integer lists: {err}") from err
-    if int(raw["groups"]) != len(M):
-        raise ConfigError(
-            f"groups={raw['groups']} does not match len(M)={len(M)}"
-        )
+    for key in ("M", "K"):
+        if not isinstance(raw[key], list):
+            raise ConfigError(
+                f"{key} must be a list of integers, got {json.dumps(raw[key])}"
+            )
+    M = tuple(_integer(f"M[{i}]", v) for i, v in enumerate(raw["M"]))
+    K = tuple(_integer(f"K[{i}]", v) for i, v in enumerate(raw["K"]))
+    groups = _integer("groups", raw["groups"])
+    if groups != len(M):
+        raise ConfigError(f"groups={groups} does not match len(M)={len(M)}")
     cfg = ArrayConfig(
         M=M,
         K=K,
-        d_over_lambda=float(raw.get("d_over_lambda", 0.5)),
-        wavelength=float(raw.get("lambda_m", 1.0)),
+        d_over_lambda=_number("d_over_lambda", raw.get("d_over_lambda", 0.5)),
+        wavelength=_number("lambda_m", raw.get("lambda_m", 1.0)),
     )
     return cfg
 

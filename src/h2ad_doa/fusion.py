@@ -19,7 +19,7 @@ found by a sweep over the ``sum(M_q)`` cells between the groups' candidate
 midpoints, never by listing all ``prod(M_q)`` combinations.  The members
 are then averaged with inverse-CRLB weights, either from the exact
 per-group bound evaluated at a plug-in angle or from the closed-form
-large-``M`` ratio that needs only the subarray sizes.  That back half is
+``M_q^2`` ratio that needs only the subarray sizes.  That back half is
 :func:`fuse_candidates`, which every weighted estimate goes through.
 """
 
@@ -108,9 +108,6 @@ class CrlbReport:
 
     per_group: tuple[float, ...]
     fused_bound: float
-    theta0: float
-    snr_db: float
-    snapshots: int
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,6 @@ class FusedEstimate:
     selected: TrueTuple
     weights: WeightVector
     candidate_sets: tuple[CandidateSet, ...]
-    method: str
     crlb: CrlbReport | None
 
 
@@ -214,35 +210,6 @@ def crlb_group_exact(
     return float(numerator / denominator)
 
 
-def crlb_group_approx(
-    cfg: ArrayConfig, q: int, theta0: float, snr_db: float, snapshots: int
-) -> float:
-    """Large-``M_q`` simplification of the single-group CRLB, in rad^2.
-
-    Substitutes ``|e_q|^2 -> M_q^2`` and ``Upsilon_q -> K_q * M_q^3``
-    and drops the cross term, leaving a bound proportional to
-    ``1/M_q^2`` so that the approximate bound ratio between groups is
-    exactly ``M_1^2 / M_q^2``.
-    """
-    check_operating_point(snr_db, snapshots)
-    _guard_angle(theta0)
-    geom = cfg.group(q)
-    k_q = geom.num_subarrays
-    snr = 10.0 ** (snr_db / 10.0)
-    denominator = (
-        8.0
-        * snapshots
-        * np.pi**2
-        * snr
-        * np.cos(theta0) ** 2
-        * k_q
-        * (k_q**2 - 1)
-        * geom.spacing**2
-        * geom.subarray_size**2
-    )
-    return float(12.0 * geom.wavelength**2 / denominator)
-
-
 def weights_exact(crlbs: Sequence[float]) -> WeightVector:
     """Inverse-CRLB weights, normalized to sum to one."""
     values = np.asarray(crlbs, dtype=float)
@@ -257,8 +224,9 @@ def weights_exact(crlbs: Sequence[float]) -> WeightVector:
 def weights_crlb_ratio(cfg: ArrayConfig) -> WeightVector:
     """Closed-form weights ``M_q^2 / sum(M_k^2)``.
 
-    Follows from the approximate bound ratio; needs nothing but the
-    subarray sizes, so it costs no CRLB evaluation at run time.
+    The CRLB-ratio rule: each group's weight grows with the square of
+    its subarray size ``M_q``.  It needs nothing but the subarray sizes,
+    so it costs no CRLB evaluation at run time.
     """
     m_sq = np.asarray(cfg.M, dtype=float) ** 2
     return WeightVector(weights=m_sq / m_sq.sum(), method="crlb_ratio")
@@ -289,13 +257,7 @@ def fused_crlb(
     )
     # A zero bound (noiseless, snr_db=inf) fuses to zero.
     fused = 1.0 / sum(1.0 / c for c in per_group) if all(per_group) else 0.0
-    return CrlbReport(
-        per_group=per_group,
-        fused_bound=float(fused),
-        theta0=theta0,
-        snr_db=snr_db,
-        snapshots=snapshots,
-    )
+    return CrlbReport(per_group=per_group, fused_bound=float(fused))
 
 
 def group_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
@@ -365,7 +327,6 @@ def fuse_candidates(
         selected=selected,
         weights=weights,
         candidate_sets=tuple(sets),
-        method=method,
         crlb=report,
     )
 

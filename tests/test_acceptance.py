@@ -35,6 +35,8 @@ from h2ad_doa.fusion import (
 )
 from h2ad_doa.signal_sim import SimScenario, derive_seed
 
+from mlp_oracles import grad_check
+
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 WIDE_CFG = ArrayConfig(M=(11, 13, 17), K=(16, 16, 16))
 THETA41 = math.radians(41.0)
@@ -242,7 +244,7 @@ def test_criterion_7_mbdnn_integrity(tmp_path):
     # gradient audit on a fresh model and simulated candidates
     model = mbdnn.init_model(spec, seed=7)
     pool = overfit_pool()
-    grad_err = mbdnn.grad_check(model, pool.subset(np.arange(3)), params_per_loss=60, seed=1)
+    grad_err = grad_check(model, pool.subset(np.arange(3)), params_per_loss=60, seed=1)
 
     # 64-sample memorization
     sub = pool.subset(np.arange(64))

@@ -152,6 +152,15 @@ def test_config_json_round_trip(tmp_path):
     assert back == cfg
 
 
+def test_load_config_accepts_integral_numbers(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"groups": 3.0, "M": [7.0, 11, 13], "K": [16, 16.0, 16],
+                                "d_over_lambda": 0.5, "lambda_m": 2}))
+    cfg = load_config(path)
+    assert cfg == ArrayConfig(M=(7, 11, 13), K=(16, 16, 16), wavelength=2.0)
+    assert all(type(v) is int for v in (*cfg.M, *cfg.K))
+
+
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(

@@ -259,6 +259,41 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     assert "coprime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, shown", [
+    ("groups", None, "null"),
+    ("groups", "abc", '"abc"'),
+    ("groups", 3.7, "3.7"),
+    ("groups", True, "true"),
+    ("M", [7.5, 11, 13], "7.5"),
+    ("M", [True, 11, 13], "true"),
+    ("M", ["7", 11, 13], '"7"'),
+    ("M", "7", '"7"'),
+    ("K", [16.9, 16, 16], "16.9"),
+    ("K", [None, 16, 16], "null"),
+    ("d_over_lambda", None, "null"),
+    ("d_over_lambda", "0.5", '"0.5"'),
+    ("lambda_m", "x", '"x"'),
+    ("lambda_m", True, "true"),
+    ("lambda_m", None, "null"),
+    ("lambda_m", math.inf, "Infinity"),
+    ("lambda_m", 10**400, "1" + "0" * 400),
+], ids=["groups-null", "groups-str", "groups-fraction", "groups-bool", "M-fraction",
+        "M-bool", "M-str-member", "M-str", "K-fraction", "K-null-member",
+        "spacing-null", "spacing-str", "lambda-str", "lambda-bool", "lambda-null",
+        "lambda-inf", "lambda-huge-int"])
+def test_cli_bad_config_value_is_exit_2(tmp_path, capsys, field, value, shown):
+    # Each value is refused as read, naming its key and showing it as
+    # written; int() and float() would truncate fractions, turn true into
+    # 1, parse numeric strings and fail on null with a TypeError.
+    raw = {"groups": 3, "M": [7, 11, 13], "K": [16, 16, 16],
+           "d_over_lambda": 0.5, "lambda_m": 1.0, field: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and shown in err
+
+
 def test_cli_estimate_rejects_grating_lobe_spacing(tmp_path, capsys):
     # above half a wavelength a group's virtual array has more than M_q
     # candidates and the element array itself aliases the angle

@@ -18,7 +18,6 @@ from h2ad_doa.mbdnn import (
     features_from_candidates,
     forward,
     generate_dataset,
-    grad_check,
     init_model,
     load_model,
     loss_fusion,
@@ -29,6 +28,8 @@ from h2ad_doa.mbdnn import (
     train,
 )
 from h2ad_doa.signal_sim import SimScenario
+
+from mlp_oracles import grad_check
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 SPEC = MlpSpec.from_config(BASE_CFG)

@@ -558,6 +558,26 @@ def test_boundary_tie_drops_positive_end():
     assert sines[-1] == pytest.approx((1 + 2 * 2) / 7, abs=1e-12)
 
 
+_EDGE_PHASES = [math.pi, -math.pi, math.nextafter(math.pi, 0.0),
+                math.nextafter(-math.pi, 0.0), 0.0]
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.integers(2, 41), wavelength=st.sampled_from([1.0, 1e-3, 0.37, 3.3]),
+       phase=st.one_of(st.sampled_from(_EDGE_PHASES),
+                       st.floats(-math.pi, math.pi)))
+def test_candidate_set_count_order_and_fold(m, wavelength, phase):
+    # half-wavelength spacing: exactly M_q angles, whatever the phase and
+    # the unit of length, each folding back onto the phase it came from
+    geom = ArrayConfig(M=(m,), K=(2,), wavelength=wavelength).group(0)
+    angles = enumerate_candidates(phase, geom).angles
+    assert len(angles) == m
+    assert np.all(np.diff(angles) > 0)
+    assert -math.pi / 2 <= angles[0] and angles[-1] <= math.pi / 2
+    for theta in angles:
+        assert wrapped(math.pi * m * math.sin(theta), phase) < 1e-9
+
+
 def music_pseudospectrum(ns, geom, theta_grid):
     """Diagnostic MUSIC pseudo-spectrum over an angle grid (radians).
 
