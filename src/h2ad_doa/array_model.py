@@ -24,6 +24,14 @@ import numpy as np
 #: Keys accepted in a config file, in canonical order.
 CONFIG_KEYS = ("groups", "M", "K", "d_over_lambda", "lambda_m")
 
+#: Largest subarray size M_q: bounds the M_q-element steering sum of every
+#: gain evaluation and the 4*M_q-wide first hidden layer of an MLP branch.
+MAX_SUBARRAY_SIZE = 256
+
+#: Largest subarray count K_q: bounds the 4*degree**2 FFT-sample budget of
+#: a root certificate (degree 2(K_q - 1)) and the K_q x T snapshot block.
+MAX_SUBARRAYS = 256
+
 
 class ConfigError(ValueError):
     """Array configuration that cannot describe a valid receiver."""
@@ -141,7 +149,8 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
         If any ``M_q < 2`` or ``K_q < 2``.
     ConfigError
         On shape or sign problems (mismatched lists, non-positive
-        spacing or wavelength), or element spacing above half a
+        spacing or wavelength), ``M_q`` above ``MAX_SUBARRAY_SIZE`` or
+        ``K_q`` above ``MAX_SUBARRAYS``, or element spacing above half a
         wavelength, where grating lobes alias the angle itself.
     """
     if len(cfg.M) == 0:
@@ -157,6 +166,10 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
             raise GroupTooSmallError(q, "subarray size M", m)
         if k < 2:
             raise GroupTooSmallError(q, "subarray count K", k)
+        if m > MAX_SUBARRAY_SIZE:
+            raise ConfigError(f"group {q}: subarray size M={m} exceeds {MAX_SUBARRAY_SIZE}")
+        if k > MAX_SUBARRAYS:
+            raise ConfigError(f"group {q}: subarray count K={k} exceeds {MAX_SUBARRAYS}")
     for q in range(len(cfg.M)):
         for k in range(q + 1, len(cfg.M)):
             if math.gcd(cfg.M[q], cfg.M[k]) != 1:

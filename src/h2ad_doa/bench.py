@@ -148,9 +148,14 @@ def run_sweep(spec: BenchSpec) -> list[ResultRow]:
     grid = itertools.product(cfgs, spec.snapshot_grid, spec.snr_grid)
     for cell, (cfg, snapshots, snr) in enumerate(grid):
         base = SimScenario(cfg, theta0, snr, snapshots)
-        crlb_deg = math.degrees(
-            math.sqrt(fused_crlb(cfg, theta0, snr, snapshots).fused_bound)
-        )
+        try:
+            crlb_deg = math.degrees(
+                math.sqrt(fused_crlb(cfg, theta0, snr, snapshots).fused_bound)
+            )
+        except AngleOutOfGuardError:
+            # Beyond the guard the exact bound is undefined; the column is
+            # informational and crlb_ratio trials still run.
+            crlb_deg = float("nan")
         estimates: list[list[float]] = [[] for _ in spec.methods]
         seconds = [0.0] * len(spec.methods)
         front_s = 0.0

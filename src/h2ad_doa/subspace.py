@@ -10,7 +10,7 @@ Root-MUSIC needs one root of a degree ``2(K_q - 1)`` polynomial: the
 signal root, the one of largest modulus inside the unit circle.
 ``np.roots`` computes all of them with an O(K_q^3) companion-matrix
 eigensolve, which dominates a trial once ``K_q`` is large.  From degree
-``_CERTIFIED_MIN_DEGREE`` on, :func:`root_music_phase` finds the signal
+``_CERTIFIED_MIN_DEGREE`` on, :func:`root_music_phases` finds the signal
 root alone: Newton iteration from the minimum of the FFT-evaluated
 spectrum, then an argument-principle root count that certifies no other
 root competes with it.  Whenever Newton or the certificate fails, the
@@ -36,7 +36,7 @@ of what ``np.roots`` costs at that degree.  A count that would exceed
 the budget is given up, and ``np.roots`` decides.
 
 The eigenpair has two paths on the same switch.  Below ``K_q = 18``
-:func:`noise_subspace` runs one ``np.linalg.eigh`` and keeps the noise
+:func:`noise_subspaces` runs one ``np.linalg.eigh`` and keeps the noise
 basis.  From ``K_q = 18`` on, where only the signal eigenvector is read,
 it takes the eigenvalues from ``np.linalg.eigvalsh`` and the signal
 eigenvector from one inverse-iteration step shifted by the largest
@@ -45,19 +45,22 @@ residual certificate (Davis-Kahan) accepts that vector only if it lies
 within an angle of ``1e-12`` of the true one; otherwise the ``eigh``
 path runs, so its result is the same to the bit.
 
-Groups of one size ``K_q`` run as a stack.  :func:`noise_subspaces`
-splits a (G, K_q, K_q) stack of covariances with one stacked ``eigh``
-below ``K_q = 18``, or one stacked ``eigvalsh`` and a certified
-eigenvector per matrix from there on.  :func:`root_music_phases` builds
-every polynomial of the stack, below ``K_q = 18`` with ``2K_q - 1``
-stacked ``np.trace`` calls, and roots them with one stacked
+Groups of one size ``K_q`` run as a stack, and :class:`SubspaceStack`
+is the one subspace result type.  :func:`noise_subspaces` splits a
+(G, K_q, K_q) stack of covariances with one stacked ``eigh`` below
+``K_q = 18``, or one stacked ``eigvalsh`` and a certified eigenvector
+per matrix from there on.  :func:`root_music_phases` builds every
+polynomial of the stack, below ``K_q = 18`` with ``2K_q - 1`` stacked
+``np.trace`` calls, and roots them with one stacked
 ``np.linalg.eigvals`` on the companion matrices ``np.roots`` would build;
 from ``K_q = 18`` on each polynomial is certified alone.  A stacked
 LAPACK call solves each matrix as the one-matrix call does, and each
-stacked reduction sums in the one-matrix order, so the per-group
-functions :func:`noise_subspace` and :func:`root_music_phase`, the
-one-group cases, give the same bits as a stack.  A stack raises when
-any member fails; which group to name is the caller's choice.
+stacked reduction sums in the one-matrix order, so a group gives the
+same bits alone as in a stack.  The per-group functions
+:func:`noise_subspace` and :func:`root_music_phase` are adapters over
+stacks of one: every field of a :func:`noise_subspace` result has a
+leading axis of length 1.  A stack raises when any member fails; which
+group to name is the caller's choice.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ ROOT_TIE_TOL = 1e-12
 #: pushed marginally outside from being discarded.
 _CIRCLE_SLACK = 1e-9
 
-#: Polynomial degree 2(K_q - 1) from which root_music_phase certifies the
+#: Polynomial degree 2(K_q - 1) from which root_music_phases certifies the
 #: signal root alone instead of rooting the whole polynomial (see the
 #: module docstring for the measured crossover).
 _CERTIFIED_MIN_DEGREE = 34
@@ -103,35 +106,6 @@ class NoRootFoundError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NoiseSubspace:
-    """Signal and noise eigenvectors of one group's covariance.
-
-    Attributes
-    ----------
-    basis : ndarray, shape (K_q, K_q - 1), or None
-        Orthonormal eigenvectors spanning the noise subspace.  The
-        root-MUSIC polynomial is built from it below degree
-        ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``).  From ``K_q = 18`` on
-        nothing reads it, and it is None.
-    signal : ndarray, shape (K_q,)
-        Unit eigenvector of the largest eigenvalue, orthogonal to the
-        noise subspace.  From ``K_q = 18`` on the polynomial is built
-        from it, since ``basis @ basis^H = I - signal signal^H``, and it
-        comes from one certified inverse-iteration step (see
-        :func:`noise_subspace`).
-    leading_eigenvalue : float
-        Largest eigenvalue (the signal eigenvalue).
-    noise_floor : float
-        Mean of the trailing ``K_q - 1`` eigenvalues.
-    """
-
-    basis: np.ndarray | None
-    signal: np.ndarray
-    leading_eigenvalue: float
-    noise_floor: float
-
-
-@dataclass(frozen=True)
 class CandidateSet:
     """All angles of one group consistent with its root-MUSIC phase.
 
@@ -147,12 +121,27 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class SubspaceStack:
-    """Signal and noise subspaces of ``G`` covariances of one size ``K_q``.
+    """Signal and noise eigenvectors of ``G`` covariances of one size ``K_q``.
 
-    The fields are those of :class:`NoiseSubspace`, each with a leading
-    axis of length ``G``: ``basis`` (G, K_q, K_q - 1) or None from
-    ``K_q = 18`` on, ``signal`` (G, K_q), and ``leading_eigenvalue`` and
-    ``noise_floor`` (G,).  Indexing gives one group's NoiseSubspace.
+    The one subspace result type; one group is a stack with ``G = 1``.
+
+    Attributes
+    ----------
+    basis : ndarray, shape (G, K_q, K_q - 1), or None
+        Orthonormal eigenvectors spanning each noise subspace.  The
+        root-MUSIC polynomial is built from it below degree
+        ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``).  From ``K_q = 18`` on
+        nothing reads it, and it is None.
+    signal : ndarray, shape (G, K_q)
+        Unit eigenvector of each largest eigenvalue, orthogonal to the
+        noise subspace.  From ``K_q = 18`` on the polynomial is built
+        from it, since ``basis @ basis^H = I - signal signal^H``, and it
+        comes from one certified inverse-iteration step (see
+        :func:`noise_subspaces`).
+    leading_eigenvalue : ndarray, shape (G,)
+        Largest eigenvalue of each covariance (the signal eigenvalue).
+    noise_floor : ndarray, shape (G,)
+        Mean of each covariance's trailing ``K_q - 1`` eigenvalues.
     """
 
     basis: np.ndarray | None
@@ -160,57 +149,36 @@ class SubspaceStack:
     leading_eigenvalue: np.ndarray
     noise_floor: np.ndarray
 
-    def __getitem__(self, g: int) -> NoiseSubspace:
-        return NoiseSubspace(
-            basis=None if self.basis is None else self.basis[g],
-            signal=self.signal[g],
-            leading_eigenvalue=float(self.leading_eigenvalue[g]),
-            noise_floor=float(self.noise_floor[g]),
-        )
 
-
-def noise_subspace(cov: np.ndarray) -> NoiseSubspace:
-    """Split a group covariance into signal and noise subspaces.
-
-    The signal subspace is fixed at dimension one (single emitter), so
-    the noise basis is the trailing ``K_q - 1`` eigenvectors in
-    descending eigenvalue order.  This is the one-group case of
-    :func:`noise_subspaces`.
-
-    Below ``K_q = 18`` one ``np.linalg.eigh`` gives every eigenpair.
-    From ``K_q = 18`` on (polynomial degree ``_CERTIFIED_MIN_DEGREE``),
-    where root-MUSIC reads only the signal eigenvector, the eigenvalues
-    come from ``np.linalg.eigvalsh`` and the signal eigenvector from one
-    inverse-iteration step, accepted only under a residual certificate
-    (:func:`_leading_eigenvector`).  When the certificate fails, the
-    ``eigh`` path runs unchanged, so its result is the same to the bit;
-    ``basis`` is None from ``K_q = 18`` on either way.
-
-    Raises
-    ------
-    DegenerateSpectrumError
-        If the two largest eigenvalues agree to within
-        ``DEGENERACY_RTOL`` relative, as happens for noise-only input.
-    """
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"covariance must be square, got {cov.shape}")
-    return noise_subspaces(cov[None])[0]
+def noise_subspace(cov: np.ndarray) -> SubspaceStack:
+    """Split one (K_q, K_q) group covariance: :func:`noise_subspaces` of
+    a stack of one, so every field has a leading axis of length 1."""
+    return noise_subspaces(cov[None])
 
 
 def noise_subspaces(covs: np.ndarray) -> SubspaceStack:
-    """:func:`noise_subspace` of each matrix of a (G, K_q, K_q) stack.
+    """Split each matrix of a (G, K_q, K_q) stack of group covariances.
 
-    Below ``K_q = 18`` one stacked ``eigh`` splits them all.  From
-    ``K_q = 18`` on one stacked ``eigvalsh`` gives the eigenvalues, and
-    each matrix then takes its certified eigenvector, or its own
-    ``eigh``.  The stacked LAPACK calls solve each matrix as the
-    one-matrix call does, so every group's result is the same to the bit.
+    The signal subspace is fixed at dimension one (single emitter), so
+    each noise basis is the trailing ``K_q - 1`` eigenvectors in
+    descending eigenvalue order.  Below ``K_q = 18`` one stacked ``eigh``
+    gives every eigenpair.  From ``K_q = 18`` on (polynomial degree
+    ``_CERTIFIED_MIN_DEGREE``), where root-MUSIC reads only the signal
+    eigenvector, one stacked ``eigvalsh`` gives the eigenvalues and each
+    matrix takes its signal eigenvector from one inverse-iteration step,
+    accepted only under a residual certificate
+    (:func:`_leading_eigenvector`).  When the certificate fails, that
+    matrix's own ``eigh`` runs, so its result is the same to the bit;
+    ``basis`` is None from ``K_q = 18`` on either way.  The stacked
+    LAPACK calls solve each matrix as the one-matrix call does, so every
+    group's result is the same to the bit alone or in a stack.
 
     Raises
     ------
     DegenerateSpectrumError
-        For the first matrix, in stack order, without a separable
-        signal eigenvalue.
+        For the first matrix, in stack order, whose two largest
+        eigenvalues agree to within ``DEGENERACY_RTOL`` relative, as
+        happens for noise-only input.
     """
     if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
         raise ValueError(f"covariances must stack square matrices, got {covs.shape}")
@@ -302,27 +270,19 @@ def _leading_eigenvector(
     return None
 
 
-def _root_polynomial(ns: NoiseSubspace) -> np.ndarray:
-    """Coefficients of the root-MUSIC polynomial, highest degree first.
-
-    With ``F = U U^H``, the quadratic form ``a(z)^H F a(z)`` collapses to
-    ``sum_l c_l z^l`` where ``c_l`` is the sum of the l-th diagonal of
-    ``F``; multiplying by ``z^(K-1)`` gives a degree ``2(K-1)``
-    polynomial whose unit-circle roots are the MUSIC nulls.  From degree
-    ``_CERTIFIED_MIN_DEGREE`` on, ``F = I - v v^H`` with ``v`` the signal
-    eigenvector, and ``c`` is ``-correlate(v, v)`` plus ``K`` at lag 0.
-    The one-group case of :func:`_root_polynomials`.
-    """
-    basis = None if ns.basis is None else ns.basis[None]
-    return _root_polynomials(ns.signal[None], basis)[0]
-
-
 def _root_polynomials(signal: np.ndarray, basis: np.ndarray | None) -> np.ndarray:
-    """:func:`_root_polynomial` of each group of a stack, shape (G, 2K - 1).
+    """Root-MUSIC polynomial of each group of a stack, shape (G, 2K - 1).
 
-    Below degree ``_CERTIFIED_MIN_DEGREE`` one stacked product forms
-    every ``F`` and each offset's diagonal sums come from one stacked
-    ``np.trace``; both sum each matrix in the one-matrix order.
+    Coefficients run highest degree first.  With ``F = U U^H``, the
+    quadratic form ``a(z)^H F a(z)`` collapses to ``sum_l c_l z^l`` where
+    ``c_l`` is the sum of the l-th diagonal of ``F``; multiplying by
+    ``z^(K-1)`` gives a degree ``2(K-1)`` polynomial whose unit-circle
+    roots are the MUSIC nulls.  Below degree ``_CERTIFIED_MIN_DEGREE``
+    one stacked product forms every ``F`` and each offset's diagonal sums
+    come from one stacked ``np.trace``; both sum each matrix in the
+    one-matrix order.  From that degree on, ``F = I - v v^H`` with ``v``
+    the signal eigenvector, and ``c`` is ``-correlate(v, v)`` plus ``K``
+    at lag 0.
     """
     k = signal.shape[-1]
     if 2 * (k - 1) >= _CERTIFIED_MIN_DEGREE:
@@ -336,14 +296,22 @@ def _root_polynomials(signal: np.ndarray, basis: np.ndarray | None) -> np.ndarra
     )
 
 
-def root_music_phase(ns: NoiseSubspace, geom: GroupGeometry) -> float:
-    """Electrical phase of the signal root of one group.
+def root_music_phase(ns: SubspaceStack, geom: GroupGeometry) -> float:
+    """:func:`root_music_phases` of a stack of one, as from
+    :func:`noise_subspace`.  ``geom`` is unused: rooting needs only the
+    subspace.  Raises ValueError for a stack of other than one group."""
+    if len(ns.signal) != 1:
+        raise ValueError(f"need a stack of one group, got {len(ns.signal)}")
+    return root_music_phases(ns)[0]
+
+
+def root_music_phases(stack: SubspaceStack) -> list[float]:
+    """Electrical phase of the signal root of each group, in stack order.
 
     The signal root is, among roots inside the unit circle, the one of
     largest modulus; modulus ties within ``ROOT_TIE_TOL`` break toward
     the smaller principal argument.  The analog gain prefactor is
     angle-dependent but root-free, so it plays no part in rooting.
-    This is the one-group case of :func:`root_music_phases`.
 
     Below degree ``_CERTIFIED_MIN_DEGREE`` (``K_q < 18``) every root is
     computed as ``np.roots`` does, an O(K_q^3) companion-matrix
@@ -362,16 +330,11 @@ def root_music_phase(ns: NoiseSubspace, geom: GroupGeometry) -> float:
 
     Returns
     -------
-    float
-        ``phase_hat`` in ``(-pi, pi]``, the argument of the selected
+    list of float
+        Each ``phase_hat`` in ``(-pi, pi]``, the argument of the selected
         root; equals ``(2*pi/lambda) * M_q * d * sin(theta0)`` folded to
         the principal branch.
     """
-    return _polynomial_phases(_root_polynomial(ns)[None])[0]
-
-
-def root_music_phases(stack: SubspaceStack) -> list[float]:
-    """:func:`root_music_phase` of each group of a stack, in stack order."""
     return _polynomial_phases(_root_polynomials(stack.signal, stack.basis))
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from h2ad_doa.array_model import (
     ArrayConfig,
+    MAX_SUBARRAY_SIZE,
+    MAX_SUBARRAYS,
     ConfigError,
     GroupTooSmallError,
     NonCoprimeError,
@@ -48,11 +50,20 @@ def test_validate_accepts_base_config():
         (dict(M=(7, 11), K=(16, 16), wavelength=-1.0), ConfigError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda=0.7), ConfigError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda=math.inf), ConfigError),
+        (dict(M=(10**30 + 1, 11, 13), K=(16, 16, 16)), ConfigError),
+        (dict(M=(257, 11), K=(16, 16)), ConfigError),
+        (dict(M=(7, 11, 13), K=(10**6, 16, 16)), ConfigError),
+        (dict(M=(7, 11), K=(16, 257)), ConfigError),
     ],
 )
 def test_validate_rejects(kwargs, exc):
     with pytest.raises(exc):
         validate_config(ArrayConfig(**kwargs))
+
+
+def test_validate_accepts_size_limits():
+    cfg = ArrayConfig(M=(MAX_SUBARRAY_SIZE, 11), K=(2, MAX_SUBARRAYS))
+    assert validate_config(cfg) is cfg
 
 
 def test_noncoprime_error_names_the_pair():

@@ -277,14 +277,17 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     ("lambda_m", None, "null"),
     ("lambda_m", math.inf, "Infinity"),
     ("lambda_m", 10**400, "1" + "0" * 400),
+    ("M", [10**30 + 1, 11, 13], str(10**30 + 1)),
+    ("K", [10**6, 16, 16], "1000000"),
 ], ids=["groups-null", "groups-str", "groups-fraction", "groups-bool", "M-fraction",
         "M-bool", "M-str-member", "M-str", "K-fraction", "K-null-member",
         "spacing-null", "spacing-str", "lambda-str", "lambda-bool", "lambda-null",
-        "lambda-inf", "lambda-huge-int"])
+        "lambda-inf", "lambda-huge-int", "M-huge", "K-huge"])
 def test_cli_bad_config_value_is_exit_2(tmp_path, capsys, field, value, shown):
     # Each value is refused as read, naming its key and showing it as
     # written; int() and float() would truncate fractions, turn true into
-    # 1, parse numeric strings and fail on null with a TypeError.
+    # 1, parse numeric strings and fail on null with a TypeError.  A
+    # subarray size or count above its limit is refused before any trial.
     raw = {"groups": 3, "M": [7, 11, 13], "K": [16, 16, 16],
            "d_over_lambda": 0.5, "lambda_m": 1.0, field: value}
     path = tmp_path / "bad.json"
@@ -378,6 +381,20 @@ def test_cli_bench_csv_and_plot_data(cfg_file, tmp_path, capsys):
     rows = parse_csv(open(out).read())
     assert len(rows) == 2
     assert open(f"{prefix}.crlb_ratio.dat").read().count("\n") == 3
+
+
+def test_cli_bench_beyond_crlb_guard(cfg_file, tmp_path):
+    # 75 degrees lies past the exact-CRLB guard: the informational bound
+    # column reads NaN, and a crlb_ratio sweep still runs its trials
+    out = str(tmp_path / "bench.csv")
+    assert cli_main(["bench", "--config", cfg_file, "--theta0-deg", "75",
+                     "--snr-grid", "10", "--trials", "3", "--out", out]) == 0
+    text = open(out).read()
+    (row,) = parse_csv(text)
+    assert row.method == "crlb_ratio" and row.trials_used == 3
+    assert math.isfinite(row.rmse_deg)
+    assert math.isnan(row.crlb_fused_deg)
+    assert emit_csv(parse_csv(text)) == text
 
 
 def test_cli_bench_rejects_bad_method(cfg_file):

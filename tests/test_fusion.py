@@ -290,7 +290,7 @@ def chained_candidates(sc, covariance):
 K_CHOICES = (
     [(k,) for k in range(2, 17)]
     + [(k,) for k in range(18, 25)]
-    + [(8, 12, 16), (16, 18, 16)]
+    + [(64,), (8, 12, 16), (16, 18, 16)]
 )
 
 
@@ -300,8 +300,8 @@ K_CHOICES = (
        theta=st.floats(-1.4, 1.4), snapshots=st.sampled_from([20, 200]),
        seed=st.integers(0, 2**63 - 1))
 def test_group_candidates_match_per_group_chain_bytes(ks, q, snr_db, theta, snapshots, seed):
-    # equal K_q classes of 2-5 groups on both sides of K_q = 18, and
-    # ragged configurations with two classes
+    # equal K_q classes of 2-5 groups on both sides of K_q = 18, K_q = 64
+    # (the deep_k64 benchmark cell), and ragged configurations with two classes
     k = ks if len(ks) > 1 else ks * q
     cfg = ArrayConfig(M=(7, 11, 13, 17, 19)[: len(k)], K=k)
     sc = scenario(cfg=cfg, theta0=theta, snr_db=snr_db, snapshots=snapshots, seed=seed)

@@ -12,15 +12,14 @@ from h2ad_doa.subspace import (
     _CERTIFIED_MIN_DEGREE,
     CandidateSet,
     DegenerateSpectrumError,
-    NoiseSubspace,
     NoRootFoundError,
+    SubspaceStack,
     _certificate_points,
     _certified_signal_phase,
     _leading_eigenvector,
     _newton_root,
     _np_roots_phase,
     _polynomial_phases,
-    _root_polynomial,
     _root_polynomials,
     _spectrum_minimum,
     _winding_number,
@@ -47,18 +46,22 @@ def exact_ns(q, sc=None):
 
 
 def test_noise_subspace_shape_and_orthogonality():
+    # one group is a stack of one: every field has a leading axis of length 1
     ns = exact_ns(0)
-    assert ns.basis.shape == (16, 15)
-    gram = ns.basis.conj().T @ ns.basis
+    assert ns.basis.shape == (1, 16, 15)
+    assert ns.signal.shape == (1, 16)
+    assert ns.leading_eigenvalue.shape == ns.noise_floor.shape == (1,)
+    basis = ns.basis[0]
+    gram = basis.conj().T @ basis
     assert np.allclose(gram, np.eye(15), atol=1e-12)
     steer = virtual_steering(BASE_CFG.group(0), THETA41)
-    assert np.linalg.norm(ns.basis.conj().T @ steer) < 1e-10
+    assert np.linalg.norm(basis.conj().T @ steer) < 1e-10
 
 
 def test_noise_subspace_eigenvalues():
     ns = exact_ns(0)
-    assert ns.leading_eigenvalue == pytest.approx(2.99884102722619, abs=1e-12)
-    assert ns.noise_floor == pytest.approx(1.0, abs=1e-12)
+    assert ns.leading_eigenvalue[0] == pytest.approx(2.99884102722619, abs=1e-12)
+    assert ns.noise_floor[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noise_subspace_rejects_nonsquare_and_tiny():
@@ -77,7 +80,7 @@ def test_root_polynomial_conjugate_reciprocal_roots():
     # coefficients c_l = tr(F, l) of a Hermitian F give roots in
     # (z, 1/conj(z)) pairs, the basis for picking the inside-circle root
     ns = noise_subspace(sample_covariance(simulate_group(scenario(seed=9), 0)))
-    coeffs = _root_polynomial(ns)
+    coeffs = _root_polynomials(ns.signal, ns.basis)[0]
     assert np.allclose(coeffs, coeffs[::-1].conj(), atol=1e-12)
     roots = np.roots(coeffs)
     mirrored = 1.0 / roots.conj()
@@ -109,22 +112,30 @@ def test_signal_eigenvector_build_matches_trace_build(k, spike, seed):
     cov = random_hermitian(k, spike, seed)
     ns = noise_subspace(cov)
     assert ns.basis is None
-    coeffs = _root_polynomial(ns)
+    coeffs = _root_polynomials(ns.signal, ns.basis)[0]
     assert coeffs.shape == (2 * k - 1,)
     basis = np.linalg.eigh(cov)[1][:, -2::-1]
     assert np.max(np.abs(coeffs - trace_polynomial(basis))) <= 1e-12 * k
 
 
 def eigh_subspace(cov):
-    """The reference split: every eigenpair from one ``eigh``."""
+    """The reference split, a stack of one: every eigenpair from one ``eigh``."""
     eigenvalues, eigenvectors = np.linalg.eigh(cov)
-    return NoiseSubspace(basis=eigenvectors[:, -2::-1], signal=eigenvectors[:, -1],
-                         leading_eigenvalue=float(eigenvalues[-1]),
-                         noise_floor=float(np.mean(eigenvalues[-2::-1])))
+    return SubspaceStack(basis=eigenvectors[None, :, -2::-1], signal=eigenvectors[None, :, -1],
+                         leading_eigenvalue=eigenvalues[-1:],
+                         noise_floor=np.mean(eigenvalues[-2::-1], keepdims=True))
+
+
+def stack_of_one(basis, signal):
+    """A one-group SubspaceStack with the given noise basis and signal vector."""
+    return SubspaceStack(basis=basis[None], signal=signal[None],
+                         leading_eigenvalue=np.ones(1), noise_floor=np.full(1, 0.1))
 
 
 def sine_between(u, v):
-    """Sine of the angle between unit vectors, from the orthogonal residual."""
+    """Sine of the angle between unit vectors, each a (1, K_q) stack of one,
+    from the orthogonal residual."""
+    u, v = u[0], v[0]
     return np.linalg.norm(v - u * np.vdot(u, v))
 
 
@@ -154,9 +165,9 @@ def test_certified_eigenvector_agrees_with_eigh_fuzz():
         assert sine_between(ref.signal, ns.signal) < 1e-10
         assert wrapped(root_music_phase(ns, cfg.group(q)),
                        root_music_phase(ref, cfg.group(q))) < 1e-9
-        lead = ref.leading_eigenvalue
-        assert ns.leading_eigenvalue == pytest.approx(lead, rel=1e-12)
-        assert ns.noise_floor == pytest.approx(ref.noise_floor, abs=1e-12 * lead)
+        lead = ref.leading_eigenvalue[0]
+        assert ns.leading_eigenvalue[0] == pytest.approx(lead, rel=1e-12)
+        assert ns.noise_floor[0] == pytest.approx(ref.noise_floor[0], abs=1e-12 * lead)
     assert accepted >= 114
 
 
@@ -182,11 +193,11 @@ def test_rejected_eigenvector_certificate_gives_eigh_bits(k, spike, log_gap, see
     ns, ref = noise_subspace(cov), eigh_subspace(cov)
     if certificate_accepts(cov):
         assert sine_between(ref.signal, ns.signal) < 1e-10
-        assert ns.leading_eigenvalue == pytest.approx(ref.leading_eigenvalue, rel=1e-12)
+        assert ns.leading_eigenvalue[0] == pytest.approx(ref.leading_eigenvalue[0], rel=1e-12)
     else:
         assert ns.signal.tobytes() == ref.signal.tobytes()
-        assert ns.leading_eigenvalue == ref.leading_eigenvalue
-        assert ns.noise_floor == ref.noise_floor
+        assert ns.leading_eigenvalue.tobytes() == ref.leading_eigenvalue.tobytes()
+        assert ns.noise_floor.tobytes() == ref.noise_floor.tobytes()
 
 
 def test_near_tie_falls_back_to_eigh(monkeypatch):
@@ -202,8 +213,8 @@ def test_near_tie_falls_back_to_eigh(monkeypatch):
     assert len(calls) == 2
     assert ns.basis is None
     assert ns.signal.tobytes() == ref.signal.tobytes()
-    assert ns.leading_eigenvalue == ref.leading_eigenvalue
-    assert ns.noise_floor == ref.noise_floor
+    assert ns.leading_eigenvalue.tobytes() == ref.leading_eigenvalue.tobytes()
+    assert ns.noise_floor.tobytes() == ref.noise_floor.tobytes()
     with pytest.raises(DegenerateSpectrumError):
         noise_subspace(near_tie_covariance(24, 0.5 * subspace.DEGENERACY_RTOL))
 
@@ -299,22 +310,22 @@ def test_stacked_subspaces_match_per_matrix_bytes(k, groups, spikes, seed):
     ])
     singles = [outcome(noise_subspace, cov) for cov in covs]
     stack = outcome(noise_subspaces, covs)
-    if not all(isinstance(ns, NoiseSubspace) for ns in singles):
-        first = next(ns for ns in singles if not isinstance(ns, NoiseSubspace))
+    if not all(isinstance(ns, SubspaceStack) for ns in singles):
+        first = next(ns for ns in singles if not isinstance(ns, SubspaceStack))
         assert stack == first
         return
     assert len(stack.signal) == groups
+    assert (stack.basis is None) == (k >= 18)
     for g, ns in enumerate(singles):
-        got = stack[g]
-        assert got.signal.tobytes() == ns.signal.tobytes()
-        assert (got.basis is None) == (ns.basis is None) == (k >= 18)
+        assert (ns.basis is None) == (k >= 18)
+        assert stack.signal[g].tobytes() == ns.signal[0].tobytes()
         if ns.basis is not None:
-            assert got.basis.tobytes() == ns.basis.tobytes()
-        assert got.leading_eigenvalue == ns.leading_eigenvalue
-        assert got.noise_floor == ns.noise_floor
+            assert stack.basis[g].tobytes() == ns.basis[0].tobytes()
+        assert stack.leading_eigenvalue[g].tobytes() == ns.leading_eigenvalue[0].tobytes()
+        assert stack.noise_floor[g].tobytes() == ns.noise_floor[0].tobytes()
     if k < 18:
         # the stacked traces sum each diagonal as the one-matrix np.trace does
-        reference = np.stack([trace_polynomial(ns.basis) for ns in singles])
+        reference = np.stack([trace_polynomial(ns.basis[0]) for ns in singles])
         assert _root_polynomials(stack.signal, stack.basis).tobytes() == reference.tobytes()
     singles = [outcome(root_music_phase, ns, BASE_CFG.group(0)) for ns in singles]
     if all(type(phase) is float for phase in singles):
@@ -350,19 +361,24 @@ def test_root_phase_scale_invariant():
 
 
 def test_no_root_on_zero_basis():
-    ns = NoiseSubspace(basis=np.zeros((4, 3), dtype=complex),
-                       signal=np.zeros(4, dtype=complex),
-                       leading_eigenvalue=1.0, noise_floor=0.1)
+    ns = stack_of_one(np.zeros((4, 3), dtype=complex), np.zeros(4, dtype=complex))
     with pytest.raises(NoRootFoundError):
         root_music_phase(ns, BASE_CFG.group(0))
 
 
 def test_no_root_when_only_origin():
-    ns = NoiseSubspace(basis=np.array([[1.0], [0.0]], dtype=complex),
-                       signal=np.array([0.0, 1.0], dtype=complex),
-                       leading_eigenvalue=1.0, noise_floor=0.1)
+    ns = stack_of_one(np.array([[1.0], [0.0]], dtype=complex),
+                      np.array([0.0, 1.0], dtype=complex))
     with pytest.raises(NoRootFoundError):
         root_music_phase(ns, BASE_CFG.group(0))
+
+
+def test_root_phase_refuses_stack_of_two():
+    # the one-group adapter roots a stack of one and nothing else
+    stack = noise_subspaces(np.stack([exact_covariance(scenario(), q) for q in (0, 0)]))
+    assert len(root_music_phases(stack)) == 2
+    with pytest.raises(ValueError, match="stack of one"):
+        root_music_phase(stack, BASE_CFG.group(0))
 
 
 @pytest.mark.parametrize("q,m", [(0, 7), (1, 11), (2, 13)])
@@ -404,7 +420,7 @@ def test_noiseless_k64_falls_back_and_recovers_angle(q):
     cfg = ArrayConfig(M=(7, 11, 13), K=(64, 64, 64))
     sc = scenario(cfg=cfg, snr_db=math.inf)
     ns = noise_subspace(sample_covariance(simulate_group(sc, q)))
-    assert _certified_signal_phase(_root_polynomial(ns)) is None
+    assert _certified_signal_phase(_root_polynomials(ns.signal, ns.basis)[0]) is None
     cs = enumerate_candidates(root_music_phase(ns, cfg.group(q)), cfg.group(q))
     assert np.min(np.abs(cs.angles - THETA41)) < 1e-9
 
@@ -424,7 +440,7 @@ def test_certified_phase_agrees_with_np_roots_fuzz():
                          snr_db=float(rng.uniform(-15.0, 30.0)), snapshots=200,
                          seed=int(rng.integers(1 << 30)))
         ns = noise_subspace(sample_covariance(simulate_group(sc, q)))
-        coeffs = _root_polynomial(ns)
+        coeffs = _root_polynomials(ns.signal, ns.basis)[0]
         reference = _np_roots_phase(coeffs)
         fast = _certified_signal_phase(coeffs)
         phase = root_music_phase(ns, cfg.group(q))
@@ -459,7 +475,8 @@ def test_failed_certificate_stays_within_point_budget(monkeypatch):
     spent = []
     for seed in range(40):
         sc = scenario(cfg=cfg, snr_db=-15.0, seed=seed)
-        coeffs = _root_polynomial(noise_subspace(sample_covariance(simulate_group(sc, seed % 3))))
+        ns = noise_subspace(sample_covariance(simulate_group(sc, seed % 3)))
+        coeffs = _root_polynomials(ns.signal, ns.basis)[0]
         assert coeffs.size - 1 == _CERTIFIED_MIN_DEGREE
         sizes.clear()
         if _certified_signal_phase(coeffs) is None:
@@ -520,10 +537,8 @@ def test_certificate_rejects_newton_decoy(monkeypatch, decoy_modulus, target_mod
     reference = _np_roots_phase(coeffs)
     assert wrapped(naive, -1.0) < 1e-9
     assert wrapped(reference, 2.0) < 1e-9
-    monkeypatch.setattr(subspace, "_root_polynomial", lambda ns: coeffs)
-    ns = NoiseSubspace(basis=np.zeros((18, 17), dtype=complex),
-                       signal=np.zeros(18, dtype=complex),
-                       leading_eigenvalue=1.0, noise_floor=0.1)
+    monkeypatch.setattr(subspace, "_root_polynomials", lambda signal, basis: coeffs[None])
+    ns = stack_of_one(np.zeros((18, 17), dtype=complex), np.zeros(18, dtype=complex))
     assert root_music_phase(ns, BASE_CFG.group(0)) == reference
 
 
@@ -590,7 +605,7 @@ def music_pseudospectrum(ns, geom, theta_grid):
     for i, theta in np.ndenumerate(theta_grid):
         gain = abs(gain_coefficient(geom, theta)) ** 2
         steer = virtual_steering(geom, theta)
-        proj = np.vdot(steer, steer).real - abs(np.vdot(ns.signal, steer)) ** 2
+        proj = np.vdot(steer, steer).real - abs(np.vdot(ns.signal[0], steer)) ** 2
         power[i] = 1.0 / (gain * proj) if gain * proj > 0 else np.inf
     return power
 
