@@ -15,8 +15,8 @@ import io
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import astuple, dataclass, fields, replace
+from typing import Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -34,10 +34,6 @@ from .mbdnn import ModelFormatError, load_model_for, predict_doa
 from .signal_sim import SimScenario, derive_seed
 
 METHODS = WEIGHTING_METHODS + ("mbdnn",)
-
-CSV_HEADER = (
-    "method,snr_db,snapshots,K,rmse_deg,crlb_fused_deg,trials_used,failures,wall_ms"
-)
 
 #: Per-trial failures that end the trial but not the sweep.
 TRIAL_ERRORS = (GroupFailureError, AngleOutOfGuardError, NonPositiveCrlbError)
@@ -87,13 +83,9 @@ class BenchSpec:
                 raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")
         if "mbdnn" in self.methods and not self.model_path:
             raise ConfigError("method mbdnn requires a model path")
-        # Build each cell's config and scenario so their checks run before any trial.
-        for k in self.k_grid or ():
-            _cell_config(self, k)
-        theta0 = math.radians(self.theta0_deg)
-        for snr in self.snr_grid:
-            for snapshots in self.snapshot_grid:
-                SimScenario(self.cfg, theta0, snr, snapshots)
+        # Build every cell's scenario so their checks run before any trial.
+        for _ in _cells(self):
+            pass
         return self
 
 
@@ -112,6 +104,9 @@ class ResultRow:
     wall_ms: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
+
+
 def compute_rmse(estimates_deg: Sequence[float], theta0_deg: float) -> float:
     """Root-mean-squared error of angle estimates, in degrees."""
     values = np.asarray(estimates_deg, dtype=float)
@@ -120,10 +115,15 @@ def compute_rmse(estimates_deg: Sequence[float], theta0_deg: float) -> float:
     return float(np.sqrt(np.mean((values - theta0_deg) ** 2)))
 
 
-def _cell_config(spec: BenchSpec, k: int | None) -> ArrayConfig:
-    if k is None:
-        return spec.cfg
-    return replace(spec.cfg, K=tuple(k for _ in spec.cfg.M))
+def _cells(spec: BenchSpec) -> Iterator[SimScenario]:
+    """Each grid cell's seed-0 scenario, in sweep order."""
+    if spec.k_grid is None:
+        cfgs = [spec.cfg]
+    else:
+        cfgs = [replace(spec.cfg, K=tuple(k for _ in spec.cfg.M)) for k in spec.k_grid]
+    theta0 = math.radians(spec.theta0_deg)
+    for cfg, snapshots, snr in itertools.product(cfgs, spec.snapshot_grid, spec.snr_grid):
+        yield SimScenario(cfg, theta0, snr, snapshots)
 
 
 def _reported_k(cfg: ArrayConfig) -> int:
@@ -142,12 +142,9 @@ def run_sweep(spec: BenchSpec) -> list[ResultRow]:
             model = load_model_for(spec.cfg, spec.model_path)
         except (ModelFormatError, OSError) as err:
             raise ModelLoadError(f"cannot load {spec.model_path}: {err}") from err
-    theta0 = math.radians(spec.theta0_deg)
     rows: list[ResultRow] = []
-    cfgs = [_cell_config(spec, k) for k in spec.k_grid or (None,)]
-    grid = itertools.product(cfgs, spec.snapshot_grid, spec.snr_grid)
-    for cell, (cfg, snapshots, snr) in enumerate(grid):
-        base = SimScenario(cfg, theta0, snr, snapshots)
+    for cell, base in enumerate(_cells(spec)):
+        cfg, theta0, snr, snapshots = base.cfg, base.theta0, base.snr_db, base.snapshots
         try:
             crlb_deg = math.degrees(
                 math.sqrt(fused_crlb(cfg, theta0, snr, snapshots).fused_bound)
@@ -198,28 +195,16 @@ def run_sweep(spec: BenchSpec) -> list[ResultRow]:
 
 
 def emit_csv(rows: Sequence[ResultRow], path=None) -> str:
-    """Render rows as CSV; optionally write to ``path``.
+    """Render rows as CSV, one record per row in field order; optionally
+    write to ``path``.
 
-    Floats use ``repr`` so parsing the text back reproduces them
-    exactly.
+    Floats are written as their ``repr``, so parsing the text back
+    reproduces them exactly.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER.split(","))
-    for row in rows:
-        writer.writerow(
-            [
-                row.method,
-                repr(row.snr_db),
-                row.snapshots,
-                row.K,
-                repr(row.rmse_deg),
-                repr(row.crlb_fused_deg),
-                row.trials_used,
-                row.failures,
-                repr(row.wall_ms),
-            ]
-        )
+    writer.writerows(astuple(row) for row in rows)
     text = buffer.getvalue()
     if path is not None:
         with open(path, "w") as fh:
@@ -228,39 +213,45 @@ def emit_csv(rows: Sequence[ResultRow], path=None) -> str:
 
 
 def parse_csv(text: str) -> list[ResultRow]:
-    """Inverse of :func:`emit_csv`."""
+    """Inverse of :func:`emit_csv`: each field is cast to its declared type.
+
+    Raises ``ValueError`` for a foreign header, a record with the wrong
+    number of fields, a value its field's type cannot take, and text that
+    does not end in a newline (a cut-off file).
+    """
+    if not text.endswith("\n"):
+        raise ValueError("benchmark CSV does not end in a newline: the file is cut off")
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    header = next(reader)
     if header != CSV_HEADER.split(","):
         raise ValueError(f"unexpected benchmark CSV header {header}")
+    casts = list(get_type_hints(ResultRow).values())
     rows = []
     for record in reader:
         if not record:
             continue
-        rows.append(
-            ResultRow(
-                method=record[0],
-                snr_db=float(record[1]),
-                snapshots=int(record[2]),
-                K=int(record[3]),
-                rmse_deg=float(record[4]),
-                crlb_fused_deg=float(record[5]),
-                trials_used=int(record[6]),
-                failures=int(record[7]),
-                wall_ms=float(record[8]),
+        if len(record) != len(casts):
+            raise ValueError(
+                f"benchmark CSV record {record} has {len(record)} fields, "
+                f"expected {len(casts)}"
             )
-        )
+        rows.append(ResultRow(*(cast(value) for cast, value in zip(casts, record))))
     return rows
 
 
-def emit_plot_data(rows: Sequence[ResultRow], prefix, x_field: str = "snr_db") -> list:
+def emit_plot_data(rows: Sequence[ResultRow], prefix) -> list:
     """Write per-method ``(x, rmse, crlb)`` triples for external plotting.
 
-    One whitespace-delimited file per method, named
-    ``<prefix>.<method>.dat``.  Returns the written paths.
+    The x axis is the grid the rows were swept over: ``snapshots`` when
+    they hold more than one snapshot count, otherwise ``K`` when they hold
+    more than one ``K``, otherwise ``snr_db``.  One whitespace-delimited
+    file per method, named ``<prefix>.<method>.dat``.  Returns the
+    written paths.
     """
-    if x_field not in ("snr_db", "snapshots", "K"):
-        raise ValueError(f"cannot plot against {x_field!r}")
+    x_field = next(
+        (f for f in ("snapshots", "K") if len({getattr(r, f) for r in rows}) > 1),
+        "snr_db",
+    )
     paths = []
     for method in dict.fromkeys(r.method for r in rows):
         path = f"{prefix}.{method}.dat"

@@ -178,12 +178,7 @@ def _cmd_bench(args) -> int:
     else:
         print(text, end="")
     if args.emit_plot_data:
-        x_field = (
-            "snapshots"
-            if len(spec.snapshot_grid) > 1
-            else "K" if spec.k_grid and len(spec.k_grid) > 1 else "snr_db"
-        )
-        for path in bench_mod.emit_plot_data(rows, args.emit_plot_data, x_field):
+        for path in bench_mod.emit_plot_data(rows, args.emit_plot_data):
             print(f"wrote {path}")
     return 0
 

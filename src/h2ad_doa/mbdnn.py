@@ -388,16 +388,27 @@ class Dataset:
 
     @classmethod
     def load_csv(cls, path) -> "Dataset":
+        """Inverse of :meth:`save_csv`.
+
+        Raises ``ValueError`` for a foreign header, a row whose field
+        count differs from the header's, and a file that does not end in
+        a newline: :meth:`save_csv` always writes one, so such a file was
+        cut off, possibly inside a number.
+        """
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            text = fh.read()
+        if not text.endswith("\n"):
+            raise ValueError(f"{path}: no final newline, the dataset file is cut off")
+        header, *lines = text.splitlines()
+        header = header.strip().split(",")
+        rows = [line.strip().split(",") for line in lines if line.strip()]
         labels = [h for h in header if h.startswith("label_")]
         feats = [h for h in header if h.startswith("feat_")]
         expected = ["snr_db", "theta_true"] + labels + feats
         if header != expected or not labels or not feats:
             raise ValueError(f"unrecognized dataset header {header}")
         table = np.array([[float(v) for v in row] for row in rows])
-        table = table.reshape(-1, len(header))
+        table = table.reshape(len(rows), len(header))
         q = len(labels)
         return cls(
             features=table[:, 2 + q:],

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2ad_doa.array_model import (
     ArrayConfig,
@@ -161,6 +163,35 @@ def test_config_json_round_trip(tmp_path):
     save_config(cfg, path)
     back = load_config(path)
     assert back == cfg
+
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 251)
+
+
+@st.composite
+def _configs(draw):
+    m = draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=4, unique=True))
+    k = draw(st.lists(st.integers(2, MAX_SUBARRAYS), min_size=len(m), max_size=len(m)))
+    spacing = draw(st.floats(0.0, 0.5, exclude_min=True))
+    wavelength = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    return ArrayConfig(M=tuple(m), K=tuple(k), d_over_lambda=spacing, wavelength=wavelength)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_configs())
+def test_config_file_round_trip_and_every_cut(tmp_path_factory, cfg):
+    # a saved config loads back equal; cut at any length it is refused,
+    # except that losing only the final newline still leaves valid JSON
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    save_config(cfg, path)
+    text = path.read_text()
+    assert load_config(path) == cfg
+    for n in range(len(text) - 1):
+        path.write_text(text[:n])
+        with pytest.raises(ConfigError):
+            load_config(path)
+    path.write_text(text[:-1])
+    assert load_config(path) == cfg
 
 
 def test_load_config_accepts_integral_numbers(tmp_path):

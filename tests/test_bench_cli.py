@@ -1,16 +1,20 @@
 import json
 import math
+import struct
 import time
 import types
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2ad_doa import bench, fusion, mbdnn
 from h2ad_doa.array_model import ArrayConfig, ConfigError, save_config
 from h2ad_doa.bench import (
     CSV_HEADER,
+    METHODS,
     BenchSpec,
     EmptyTrialSetError,
     ModelLoadError,
@@ -208,17 +212,68 @@ def test_csv_nan_rmse_round_trip():
     assert back.failures == 6
 
 
+_FLOATS = st.floats(allow_nan=False) | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+_ROWS = st.builds(ResultRow, method=st.sampled_from(METHODS), snr_db=_FLOATS,
+                  snapshots=st.integers(), K=st.integers(), rmse_deg=_FLOATS,
+                  crlb_fused_deg=_FLOATS, trials_used=st.integers(),
+                  failures=st.integers(), wall_ms=_FLOATS)
+
+
+def _bits(row):
+    return tuple(struct.pack("<d", v) if isinstance(v, float) else v for v in astuple(row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(_ROWS, max_size=4))
+def test_csv_schema_round_trip(rows):
+    text = emit_csv(rows)
+    back = parse_csv(text)
+    assert [_bits(r) for r in back] == [_bits(r) for r in rows]
+    assert emit_csv(back) == text
+
+
+def test_parse_csv_rejects_malformed_records():
+    rows = [ResultRow(method="crlb_ratio", snr_db=0.0, snapshots=10, K=16,
+                      rmse_deg=0.25, crlb_fused_deg=0.5, trials_used=6,
+                      failures=0, wall_ms=18.411)] * 2
+    text = emit_csv(rows)
+    header, record, _ = text.splitlines()
+    short = record.rsplit(",", 1)[0]
+    for bad in (short, record + ",1.0"):
+        with pytest.raises(ValueError, match="fields"):
+            parse_csv(f"{header}\n{bad}\n")
+    assert text.endswith(",18.411\n")
+    with pytest.raises(ValueError, match="cut off"):
+        parse_csv(text[:-4])  # "...,18." would read wall_ms as 18.0
+    # every cut either is refused or parses to a prefix of the rows
+    for n in range(len(text)):
+        try:
+            back = parse_csv(text[:n])
+        except ValueError:
+            continue
+        assert back == rows[: text[:n].count("\n") - 1]
+
+
 def test_emit_plot_data(tmp_path):
     rows = run_sweep(tiny_spec(snr_grid=(0.0, 10.0), methods=("crlb_ratio", "exact_crlb")))
-    paths = emit_plot_data(rows, tmp_path / "plt", "snr_db")
+    paths = emit_plot_data(rows, tmp_path / "plt")
     assert sorted(p.split(".")[-2] for p in paths) == ["crlb_ratio", "exact_crlb"]
     body = open(paths[0]).read().splitlines()
-    assert body[0].startswith("#")
+    assert body[0] == "# snr_db rmse_deg crlb_fused_deg"
     assert len(body) == 3
     x, rmse, crlb = (float(v) for v in body[1].split())
     assert (x, rmse, crlb) == (rows[0].snr_db, rows[0].rmse_deg, rows[0].crlb_fused_deg)
-    with pytest.raises(ValueError):
-        emit_plot_data(rows, tmp_path / "plt", "theta0")
+    # the axis is the grid the rows vary over; a repeated value is no sweep
+    for grid, axis in [(dict(snapshot_grid=(32, 64)), "snapshots"),
+                       (dict(k_grid=(8, 16)), "K"),
+                       (dict(snr_grid=(0.0, 10.0)), "snr_db"),
+                       (dict(snapshot_grid=(100, 100)), "snr_db")]:
+        rows = run_sweep(tiny_spec(trials=2, **grid))
+        (path,) = emit_plot_data(rows, tmp_path / axis)
+        body = open(path).read().splitlines()
+        assert body[0] == f"# {axis} rmse_deg crlb_fused_deg"
+        assert [line.split()[0] for line in body[1:]] == [
+            str(getattr(r, axis)) for r in rows]
 
 
 def test_mbdnn_method_in_sweep(tmp_path):
@@ -549,3 +604,31 @@ def test_cli_numeric_flag_exit_codes(exit_files, tmp_path, capsys, command, flag
     if code == 2:
         assert capsys.readouterr().err.startswith("config error:")
         assert not any(tmp_path.iterdir())
+
+
+# A cut-off input file exits with the code of its kind: 2 for a config,
+# 3 for a model or a dataset.  Cuts that leave a loadable file are not
+# drawn: a config that lost only its final newline, and a dataset cut
+# just after a row.
+_CUT_FILES = {"validate": ("config", 2), "predict": ("model", 3), "train": ("dataset", 3)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(command=st.sampled_from(sorted(_CUT_FILES)), data=st.data())
+def test_cli_cut_file_exit_codes(exit_files, tmp_path_factory, command, data):
+    kind, code = _CUT_FILES[command]
+    blob = open(exit_files[kind], "rb").read()
+    removed = data.draw(st.integers(1, len(blob)).filter(
+        lambda r: not (kind == "config" and r == 1
+                       or kind == "dataset" and blob[:-r].endswith(b"\n"))))
+    root = tmp_path_factory.mktemp("cut")
+    files = {**exit_files, kind: str(root / kind)}
+    (root / kind).write_bytes(blob[:-removed])
+    out = root / "out"
+    argv = {
+        "validate": [],
+        "predict": ["--model", files["model"], "--snapshots", "32"],
+        "train": ["--dataset", files["dataset"], "--epochs", "1", "--out", str(out)],
+    }[command]
+    assert cli_main([command, "--config", files["config"], *argv]) == code
+    assert not out.exists()

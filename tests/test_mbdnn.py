@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2ad_doa import mbdnn
 from h2ad_doa.array_model import ArrayConfig, ConfigError
@@ -10,6 +12,7 @@ from h2ad_doa.mbdnn import (
     BadMagicError,
     Dataset,
     DimMismatchError,
+    MlpModel,
     MlpSpec,
     NonFiniteLossError,
     ShapeMismatchError,
@@ -352,6 +355,30 @@ def test_dataset_csv_rejects_foreign_header(tmp_path):
         Dataset.load_csv(path)
 
 
+def test_dataset_csv_every_cut_is_refused_or_a_row_prefix(tmp_path):
+    # save_csv ends every row with a newline: a cut inside a value must not
+    # load as a shorter number
+    ds = random_dataset(3, seed=7)
+    path = tmp_path / "ds.csv"
+    ds.save_csv(path)
+    text = path.read_text()
+    tables = [ds.snr_db, ds.label_theta, ds.label_tuple, ds.features]
+    loaded = 0
+    for n in range(len(text)):
+        path.write_text(text[:n])
+        try:
+            back = Dataset.load_csv(path)
+        except ValueError:
+            continue
+        loaded += 1
+        rows = len(back)
+        assert text[:n].count("\n") == rows + 1
+        for got, want in zip([back.snr_db, back.label_theta, back.label_tuple,
+                              back.features], tables):
+            assert got.tobytes() == want[:rows].tobytes()
+    assert loaded == 3  # header only, one row, two rows
+
+
 def test_dataset_subset():
     ds = random_dataset(10)
     sub = ds.subset(np.array([1, 3, 5]))
@@ -373,6 +400,44 @@ def test_model_save_load_bitwise(tmp_path):
     for stage in ("mb_fcnn", "fusion_net", "joint"):
         a, b = model.stage_losses.get(stage), back.stage_losses.get(stage)
         assert (a == b) or (math.isnan(a) and math.isnan(b))
+
+
+_LOSSES = st.floats(allow_nan=False) | st.sampled_from([math.nan, -0.0, math.inf])
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.sampled_from([(2, 3), (3, 5), (2, 3, 5), (5, 7)]),
+       seed=st.integers(-(2**63), 2**63 - 1), epochs=st.integers(0, 2**32 - 1),
+       losses=st.lists(_LOSSES, min_size=3, max_size=3), data=st.data())
+def test_model_file_round_trip_and_every_cut(tmp_path_factory, m, seed, epochs,
+                                             losses, data):
+    # any parameter bits come back bit for bit, and the saved file is
+    # reproduced byte for byte; a file cut at any length is refused: every
+    # length through the header, and a sample of the payload's
+    spec = MlpSpec(M=m)
+    raw = data.draw(st.binary(min_size=8 * spec.parameter_count,
+                              max_size=8 * spec.parameter_count))
+    flat = np.frombuffer(raw, "<f8")
+    params, at = {}, 0
+    for name, shape in spec.parameter_shapes():
+        count = int(np.prod(shape))
+        params[name] = flat[at:at + count].reshape(shape)
+        at += count
+    model = MlpModel(spec=spec, params=params, seed=seed, epochs_trained=epochs,
+                     stage_losses=dict(zip(mbdnn.STAGES, losses)))
+    path = tmp_path_factory.mktemp("model") / "m.mbdnn"
+    save_model(model, path)
+    blob = path.read_bytes()
+    back = load_model(path)
+    assert (back.spec, back.seed, back.epochs_trained) == (spec, seed, epochs)
+    assert all(back.params[k].tobytes() == params[k].tobytes() for k in params)
+    save_model(back, path)
+    assert path.read_bytes() == blob
+    payload_cuts = data.draw(st.lists(st.integers(100, len(blob) - 1), max_size=40))
+    for n in [*range(100), *payload_cuts]:
+        path.write_bytes(blob[:n])
+        with pytest.raises(TruncatedFileError):
+            load_model(path)
 
 
 def test_model_bad_magic(tmp_path):

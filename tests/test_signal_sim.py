@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from h2ad_doa.array_model import ArrayConfig, gain_coefficient, virtual_steering
 from h2ad_doa.signal_sim import (
@@ -195,6 +197,25 @@ def test_snapshot_truncated(tmp_path):
     path.write_bytes(raw[: len(raw) - 13])
     with pytest.raises(SnapshotFormatError):
         read_snapshots(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group=st.integers(0, 2**32 - 1), k=st.integers(1, 4), t=st.integers(1, 6),
+       data=st.data())
+def test_snapshot_file_round_trip_and_every_cut(tmp_path_factory, group, k, t, data):
+    # any bit pattern, NaN payloads included, comes back bit for bit; a
+    # file cut at any length is refused
+    raw = data.draw(st.binary(min_size=16 * k * t, max_size=16 * k * t))
+    snap = GroupSnapshots(group, np.frombuffer(raw, np.complex128).reshape(k, t))
+    path = tmp_path_factory.mktemp("snap") / "g.snap"
+    write_snapshots(snap, path)
+    blob = path.read_bytes()
+    back = read_snapshots(path)
+    assert back.group_index == group and back.data.tobytes() == raw
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(SnapshotFormatError):
+            read_snapshots(path)
 
 
 def test_snapshot_trailing_garbage(tmp_path):
