@@ -244,21 +244,32 @@ def emit_plot_data(rows: Sequence[ResultRow], prefix) -> list:
 
     The x axis is the grid the rows were swept over: ``snapshots`` when
     they hold more than one snapshot count, otherwise ``K`` when they hold
-    more than one ``K``, otherwise ``snr_db``.  One whitespace-delimited
-    file per method, named ``<prefix>.<method>.dat``.  Returns the
-    written paths.
+    more than one ``K``, otherwise ``snr_db``.  Each other grid field that
+    holds more than one value splits a method's rows into blocks, in
+    first-appearance order; each block opens with a comment naming its
+    values (``# snr_db=10.0``), and two blank lines separate blocks, as
+    gnuplot's ``index`` expects.  One whitespace-delimited file per
+    method, named ``<prefix>.<method>.dat``.  Returns the written paths.
     """
-    x_field = next(
-        (f for f in ("snapshots", "K") if len({getattr(r, f) for r in rows}) > 1),
-        "snr_db",
-    )
+    varied = [f for f in ("snapshots", "K", "snr_db")
+              if len({getattr(r, f) for r in rows}) > 1]
+    x_field = next((f for f in varied if f != "snr_db"), "snr_db")
+    split = [f for f in varied if f != x_field]
     paths = []
     for method in dict.fromkeys(r.method for r in rows):
+        blocks: dict[tuple, list[ResultRow]] = {}
+        for row in rows:
+            if row.method == method:
+                blocks.setdefault(tuple(getattr(row, f) for f in split), []).append(row)
         path = f"{prefix}.{method}.dat"
         with open(path, "w") as fh:
             fh.write(f"# {x_field} rmse_deg crlb_fused_deg\n")
-            for row in rows:
-                if row.method == method:
+            for i, (key, block) in enumerate(blocks.items()):
+                if i:
+                    fh.write("\n\n")
+                if split:
+                    fh.write("# " + " ".join(f"{f}={v}" for f, v in zip(split, key)) + "\n")
+                for row in block:
                     fh.write(
                         f"{getattr(row, x_field)} {row.rmse_deg!r} "
                         f"{row.crlb_fused_deg!r}\n"

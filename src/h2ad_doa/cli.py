@@ -224,7 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the fusion network")
     p.add_argument("--config", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--stage", choices=(*mbdnn.STAGES, "all"), default="all")
+    p.add_argument("--stage", choices=(*mbdnn.STAGES, "all"), default="all",
+                   help="all runs mb_fcnn then fusion_net; joint is the "
+                        "optional fine-tune, run on its own")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--lr", type=float, default=1e-4)

@@ -189,11 +189,21 @@ def _as_batch(spec: MlpSpec, features: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cache(model: MlpModel, x: np.ndarray) -> dict:
-    """Forward pass keeping every intermediate needed by backprop."""
+def forward(model: MlpModel, features: np.ndarray) -> dict:
+    """Run the network on one feature row or a batch of them.
+
+    Returns
+    -------
+    dict
+        Every intermediate backprop needs: ``branch`` (per group, each
+        layer's input and pre-activation), ``concat``, ``pre_merge``,
+        ``merged``, ``head`` (one angle prediction per group, degrees)
+        and ``fused`` (the final DOA prediction per sample).
+    """
+    x = _as_batch(model.spec, features)
     p = model.params
     offsets = model.spec.feature_offsets()
-    cache: dict = {"x": x, "branch": []}
+    cache: dict = {"branch": []}
     blocks = []
     for q in range(model.spec.num_groups):
         xq = x[:, offsets[q]: offsets[q] + model.spec.M[q]]
@@ -215,42 +225,6 @@ def _forward_cache(model: MlpModel, x: np.ndarray) -> dict:
         concat=concat, pre_merge=pre_merge, merged=merged, head=head, fused=fused
     )
     return cache
-
-
-def forward(model: MlpModel, features: np.ndarray):
-    """Run the network.
-
-    Returns
-    -------
-    tuple
-        ``(branch_outputs, merged, head, fused)`` where ``head`` has one
-        angle prediction per group (degrees) and ``fused`` is the final
-        DOA prediction per sample.
-    """
-    x = _as_batch(model.spec, features)
-    cache = _forward_cache(model, x)
-    offsets = model.spec.feature_offsets()
-    branch_outputs = [
-        cache["concat"][:, off: off + m] for off, m in zip(offsets, model.spec.M)
-    ]
-    return branch_outputs, cache["merged"], cache["head"], cache["fused"]
-
-
-def loss_mb_fcnn(head: np.ndarray, label_tuple: np.ndarray) -> float:
-    """Mean squared per-group error, averaged over groups and samples."""
-    diff = head - label_tuple
-    return float(np.mean(diff**2))
-
-
-def loss_fusion(fused: np.ndarray, label_theta: np.ndarray) -> float:
-    """Mean squared fused-angle error."""
-    return float(np.mean((fused - label_theta) ** 2))
-
-
-def loss_mbnn(head: np.ndarray, fused: np.ndarray) -> float:
-    """Self-consistency loss between group predictions and fused output."""
-    diff = head - fused[:, None]
-    return float(np.mean(diff**2))
 
 
 def _backprop_backbone(model: MlpModel, cache: dict, d_head: np.ndarray) -> dict:
@@ -284,32 +258,34 @@ def _stage_loss_and_grads(
     label_tuple: np.ndarray | None,
     label_theta: np.ndarray | None,
 ) -> tuple[float, dict]:
-    cache = _forward_cache(model, x)
+    """Mean squared residual of ``stage`` and its gradients.
+
+    ``mb_fcnn`` fits the head to the per-group labels, ``fusion_net`` the
+    fused output to the true angle, and ``joint`` the head to the fused
+    output (self-consistency).
+    """
+    cache = forward(model, x)
+    head, fused = cache["head"], cache["fused"]
     n = x.shape[0]
     q = model.spec.num_groups
+    d_head = d_fused = None
     if stage == "mb_fcnn":
-        value = loss_mb_fcnn(cache["head"], label_tuple)
-        d_head = 2.0 * (cache["head"] - label_tuple) / (n * q)
-        return value, _backprop_backbone(model, cache, d_head)
-    if stage == "fusion_net":
-        value = loss_fusion(cache["fused"], label_theta)
-        d_fused = (2.0 * (cache["fused"] - label_theta) / n)[:, None]
-        return value, {
-            "fusion_w": cache["head"].T @ d_fused,
-            "fusion_b": d_fused.sum(axis=0),
-        }
-    if stage == "joint":
-        value = loss_mbnn(cache["head"], cache["fused"])
-        diff = cache["head"] - cache["fused"][:, None]
+        diff = head - label_tuple
         d_head = 2.0 * diff / (n * q)
+    elif stage == "fusion_net":
+        diff = fused - label_theta
+        d_fused = (2.0 * diff / n)[:, None]
+    elif stage == "joint":
+        diff = head - fused[:, None]
         d_fused = -2.0 * diff.sum(axis=1, keepdims=True) / (n * q)
-        grads = _backprop_backbone(
-            model, cache, d_head + d_fused @ model.params["fusion_w"].T
-        )
-        grads["fusion_w"] = cache["head"].T @ d_fused
+        d_head = 2.0 * diff / (n * q) + d_fused @ model.params["fusion_w"].T
+    else:
+        raise ValueError(f"unknown stage {stage!r}")
+    grads = {} if d_head is None else _backprop_backbone(model, cache, d_head)
+    if d_fused is not None:
+        grads["fusion_w"] = head.T @ d_fused
         grads["fusion_b"] = d_fused.sum(axis=0)
-        return value, grads
-    raise ValueError(f"unknown stage {stage!r}")
+    return float(np.mean(diff**2)), grads
 
 
 @dataclass(frozen=True)
@@ -559,8 +535,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
 def predict_doa(model: MlpModel, sets: Sequence[CandidateSet]) -> float:
     """Fused DOA prediction (degrees) from one trial's candidate sets."""
     features = features_from_candidates(model.spec, sets)
-    _, _, _, fused = forward(model, features)
-    return float(fused[0])
+    return float(forward(model, features)["fused"][0])
 
 
 _FIXED_HEADER = struct.Struct("<6sI")  # magic, Q

@@ -412,15 +412,15 @@ def _certified_signal_phase(coeffs: np.ndarray) -> float | None:
     may still exist elsewhere, so the result stands only if the argument
     principle counts ``K_q - 1`` roots inside radius
     ``1 + 2*_CIRCLE_SLACK`` and ``K_q - 2`` inside radius
-    ``rho - depth``.  Then ``z`` is the only root with modulus in
-    ``[rho - depth, 1 + 2*_CIRCLE_SLACK)``, which contains
+    ``rho - gap``.  Then ``z`` is the only root with modulus in
+    ``[rho - gap, 1 + 2*_CIRCLE_SLACK)``, which contains
     ``[rho - ROOT_TIE_TOL, 1 + _CIRCLE_SLACK]``, so ``np.roots`` would
-    select it without a tie.  ``depth`` is ``gap`` or, when a noise root
-    lies in between, ``gap/4``.  The circles pass ``gap`` and ``depth``
-    from ``z``, and a count there needs about ``8/gap`` and ``8/depth``
-    samples; the counts share the budget of :func:`_certificate_points`,
-    so gaps below about 4e-3 at degree 34 (5e-4 at degree 126) go to
-    ``np.roots``.
+    select it without a tie.  A noise root with modulus in
+    ``[rho - gap, rho)`` fails the inner count, and ``np.roots`` decides.
+    Both circles pass ``gap`` from ``z``, and a count there needs about
+    ``8/gap`` samples; the counts share the budget of
+    :func:`_certificate_points`, so gaps below about 4e-3 at degree 34
+    (5e-4 at degree 126) go to ``np.roots``.
     """
     asc = coeffs[::-1]
     z = _newton_root(asc, _spectrum_minimum(asc))
@@ -437,11 +437,10 @@ def _certified_signal_phase(coeffs: np.ndarray) -> float | None:
                                 _certificate_points(asc.size - 1))
     if count != half:
         return None
-    for depth in (gap, 0.25 * gap):
-        count, points = _root_count(asc, rho - depth, depth, points)
-        if count == half - 1:
-            return float(np.angle(z))
-    return None
+    count, _ = _root_count(asc, rho - gap, gap, points)
+    if count != half - 1:
+        return None
+    return float(np.angle(z))
 
 
 def _certificate_points(degree: int) -> int:

@@ -7,14 +7,13 @@ from h2ad_doa.mbdnn import (
     STAGES,
     Dataset,
     MlpModel,
-    _as_batch,
-    _forward_cache,
     _stage_loss_and_grads,
+    forward,
 )
 
 
 def _activation_pattern(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    cache = _forward_cache(model, x)
+    cache = forward(model, x)
     bits = [cache["pre_merge"] > 0.0]
     for layers in cache["branch"]:
         bits.extend(pre > 0.0 for _, pre in layers)
@@ -44,7 +43,7 @@ def grad_check(
         Largest relative error over all sampled parameters and losses.
     """
     rng = np.random.default_rng(seed)
-    x = _as_batch(model.spec, sample.features)
+    x = sample.features
     worst = 0.0
     for stage in STAGES:
         names = model.trained_names(stage)

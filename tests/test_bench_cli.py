@@ -274,6 +274,17 @@ def test_emit_plot_data(tmp_path):
         assert body[0] == f"# {axis} rmse_deg crlb_fused_deg"
         assert [line.split()[0] for line in body[1:]] == [
             str(getattr(r, axis)) for r in rows]
+    # a second swept grid splits the file into one block per value, so a
+    # plot draws one curve per SNR instead of a zigzag through both
+    rows = run_sweep(tiny_spec(trials=2, snapshot_grid=(32, 64), snr_grid=(10.0, 0.0)))
+    (path,) = emit_plot_data(rows, tmp_path / "two")
+    blocks = [block.splitlines() for block in open(path).read().split("\n\n\n")]
+    assert [[line for line in b if line.startswith("#")] for b in blocks] == [
+        ["# snapshots rmse_deg crlb_fused_deg", "# snr_db=10.0"], ["# snr_db=0.0"]]
+    for block, snr in zip(blocks, (10.0, 0.0)):
+        data = [line.split() for line in block if not line.startswith("#")]
+        assert [d[0] for d in data] == ["32", "64"]
+        assert [float(d[1]) for d in data] == [r.rmse_deg for r in rows if r.snr_db == snr]
 
 
 def test_mbdnn_method_in_sweep(tmp_path):
@@ -412,6 +423,10 @@ def test_cli_dataset_train_predict_chain(cfg_file, tmp_path, capsys):
     rc = cli_main(["train", "--config", cfg_file, "--dataset", ds, "--stage",
                    "all", "--epochs", "2", "--batch-size", "4", "--out", model])
     assert rc == 0
+    # "all" is mb_fcnn then fusion_net; the joint fine-tune runs only on request
+    losses = mbdnn.load_model(model).stage_losses
+    assert math.isfinite(losses["mb_fcnn"]) and math.isfinite(losses["fusion_net"])
+    assert math.isnan(losses["joint"])
     rc = cli_main(["predict", "--config", cfg_file, "--model", model,
                    "--snapshots", "64", "--json"])
     assert rc == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -23,9 +24,6 @@ from h2ad_doa.mbdnn import (
     generate_dataset,
     init_model,
     load_model,
-    loss_fusion,
-    loss_mb_fcnn,
-    loss_mbnn,
     predict_doa,
     save_model,
     train,
@@ -86,7 +84,7 @@ def test_forward_matches_plain_matmul_chain():
     model = init_model(SPEC, seed=1)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(6, 31))
-    branch, merged, head, fused = forward(model, x)
+    out = forward(model, x)
     p = model.params
     outs = []
     for q, off in zip(range(3), SPEC.feature_offsets()):
@@ -98,28 +96,27 @@ def test_forward_matches_plain_matmul_chain():
     merged_ref = relu(concat @ p["merge_w"] + p["merge_b"])
     head_ref = merged_ref @ p["head_w"] + p["head_b"]
     fused_ref = (head_ref @ p["fusion_w"] + p["fusion_b"]).ravel()
-    assert np.allclose(np.concatenate(branch, axis=1), concat, atol=1e-12)
-    assert np.allclose(merged, merged_ref, atol=1e-12)
-    assert np.allclose(head, head_ref, atol=1e-12)
-    assert np.allclose(fused, fused_ref, atol=1e-12)
+    assert np.allclose(out["concat"], concat, atol=1e-12)
+    assert np.allclose(out["merged"], merged_ref, atol=1e-12)
+    assert np.allclose(out["head"], head_ref, atol=1e-12)
+    assert np.allclose(out["fused"], fused_ref, atol=1e-12)
 
 
 def test_forward_positive_homogeneity():
     # zero biases at init make the piecewise-linear net exactly homogeneous
     model = init_model(SPEC, seed=3)
     x = np.random.default_rng(4).normal(size=(5, 31))
-    _, _, head1, fused1 = forward(model, x)
-    _, _, head2, fused2 = forward(model, 2.0 * x)
-    assert np.allclose(head2, 2.0 * head1, rtol=1e-12, atol=1e-12)
+    one, two = forward(model, x), forward(model, 2.0 * x)
+    assert np.allclose(two["head"], 2.0 * one["head"], rtol=1e-12, atol=1e-12)
     # fusion output has a bias row, still zero at init
-    assert np.allclose(fused2, 2.0 * fused1, rtol=1e-12, atol=1e-12)
+    assert np.allclose(two["fused"], 2.0 * one["fused"], rtol=1e-12, atol=1e-12)
 
 
 def test_forward_accepts_single_sample():
     model = init_model(SPEC, seed=1)
-    _, _, head, fused = forward(model, np.zeros(31))
-    assert head.shape == (1, 3)
-    assert fused.shape == (1,)
+    out = forward(model, np.zeros(31))
+    assert out["head"].shape == (1, 3)
+    assert out["fused"].shape == (1,)
 
 
 def test_forward_rejects_wrong_width():
@@ -129,17 +126,28 @@ def test_forward_rejects_wrong_width():
 
 
 def test_loss_formulas():
+    model = init_model(SPEC, seed=9)
     rng = np.random.default_rng(9)
-    head = rng.normal(size=(4, 3))
+    x = rng.normal(size=(4, 31))
     labels = rng.normal(size=(4, 3))
-    fused = rng.normal(size=4)
     theta = rng.normal(size=4)
-    assert loss_mb_fcnn(head, labels) == pytest.approx(np.mean((head - labels) ** 2))
-    assert loss_fusion(fused, theta) == pytest.approx(np.mean((fused - theta) ** 2))
-    assert loss_mbnn(head, fused) == pytest.approx(
-        np.mean((head - fused[:, None]) ** 2)
-    )
-    assert loss_mbnn(np.ones((4, 3)), np.ones(4)) == 0.0
+    out = forward(model, x)
+    head, fused = out["head"], out["fused"]
+
+    def loss(stage):
+        return mbdnn._stage_loss_and_grads(model, stage, x, labels, theta)[0]
+
+    assert loss("mb_fcnn") == pytest.approx(np.mean((head - labels) ** 2))
+    assert loss("fusion_net") == pytest.approx(np.mean((fused - theta) ** 2))
+    assert loss("joint") == pytest.approx(np.mean((head - fused[:, None]) ** 2))
+    # equal head columns (all ones) and a fusion layer that copies the first
+    model.params["head_w"][:] = 0.0
+    model.params["head_b"][:] = 1.0
+    model.params["fusion_w"][:] = [[1.0], [0.0], [0.0]]
+    model.params["fusion_b"][:] = 0.0
+    assert loss("joint") == 0.0
+    with pytest.raises(ValueError, match="unknown stage"):
+        loss("warmup")
 
 
 def test_grad_check_random_model():
@@ -213,6 +221,29 @@ def test_train_rejects_bad_stage_and_empty_data():
         train(model, random_dataset(8), TrainConfig(stage="warmup"))
     with pytest.raises(ValueError):
         train(model, random_dataset(0), TrainConfig(stage="mb_fcnn"))
+
+
+def test_training_bits_pinned():
+    # every stage in turn on a small front-end table: each stage's final
+    # loss and the trained parameters must not move by a single bit
+    ds = generate_dataset(BASE_CFG, thetas_deg=np.arange(-60.0, 61.0, 15.0),
+                          snrs_db=[0.0, 10.0], trials_per_cell=3, master_seed=5)
+    assert (len(ds), ds.skipped) == (54, 0)
+    model = init_model(SPEC, seed=3)
+    for stage in mbdnn.STAGES:
+        train(model, ds, TrainConfig(stage=stage, epochs=4, batch_size=7, lr=1e-3,
+                                     seed=11))
+    assert {s: v.hex() for s, v in model.stage_losses.items()} == {
+        "mb_fcnn": "0x1.5b0ab96cebd6ep+10",
+        "fusion_net": "0x1.2d330e3cc5179p+10",
+        "joint": "0x1.da8ca5653a391p-2",
+    }
+    digest = hashlib.sha256()
+    for name, _ in SPEC.parameter_shapes():
+        digest.update(model.params[name].tobytes())
+    assert digest.hexdigest() == (
+        "e4cd572acf21b21dd294758caea1dbb3d24aec619114ff7f1a607aa58e9bf36c"
+    )
 
 
 @pytest.mark.parametrize("field, value", [

@@ -542,6 +542,22 @@ def test_certificate_rejects_newton_decoy(monkeypatch, decoy_modulus, target_mod
     assert root_music_phase(ns, BASE_CFG.group(0)) == reference
 
 
+def test_noise_root_inside_the_gap_fails_the_certificate(monkeypatch):
+    # the noise root at 0.95 lies within one gap (0.03) below the signal
+    # root, so the inner circle counts one root short; the certificate is
+    # refused and the np.roots phase stands, bit for bit
+    roots = [0.97 * np.exp(0.7j), 0.95 * np.exp(-1.2j)]
+    roots += [0.3 * np.exp(2j * np.pi * i / 15) for i in range(15)]
+    coeffs = reciprocal_polynomial(roots)
+    assert coeffs.size - 1 == _CERTIFIED_MIN_DEGREE
+    assert _certified_signal_phase(coeffs) is None
+    reference = _np_roots_phase(coeffs)
+    assert wrapped(reference, 0.7) < 1e-9
+    monkeypatch.setattr(subspace, "_root_polynomials", lambda signal, basis: coeffs[None])
+    ns = stack_of_one(np.zeros((18, 17), dtype=complex), np.zeros(18, dtype=complex))
+    assert root_music_phase(ns, BASE_CFG.group(0)) == reference
+
+
 def test_winding_count_is_never_wrong():
     # every count the sampling bound accepts equals the true root count,
     # also on circles that pass 0.01 from a root
