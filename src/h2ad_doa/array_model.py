@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,13 @@ MAX_SUBARRAYS = 256
 
 class ConfigError(ValueError):
     """Array configuration that cannot describe a valid receiver."""
+
+
+def check_integer(field: str, value) -> None:
+    """Raise ``ConfigError`` naming ``field`` unless ``value`` is a Python or
+    numpy integer; floats, integral or not, and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{field}={value!r} must be an integer")
 
 
 class NonCoprimeError(ConfigError):
@@ -148,9 +156,10 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
     GroupTooSmallError
         If any ``M_q < 2`` or ``K_q < 2``.
     ConfigError
-        On shape or sign problems (mismatched lists, non-positive
-        spacing or wavelength), ``M_q`` above ``MAX_SUBARRAY_SIZE`` or
-        ``K_q`` above ``MAX_SUBARRAYS``, or element spacing above half a
+        On shape, type or sign problems (mismatched lists, an ``M_q`` or
+        ``K_q`` that :func:`check_integer` refuses, non-positive spacing
+        or wavelength), ``M_q`` above ``MAX_SUBARRAY_SIZE`` or ``K_q``
+        above ``MAX_SUBARRAYS``, or element spacing above half a
         wavelength, where grating lobes alias the angle itself.
     """
     if len(cfg.M) == 0:
@@ -160,8 +169,8 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
             f"M has {len(cfg.M)} groups but K has {len(cfg.K)}"
         )
     for q, (m, k) in enumerate(zip(cfg.M, cfg.K)):
-        if int(m) != m or int(k) != k:
-            raise ConfigError(f"group {q}: M and K must be integers")
+        check_integer(f"M[{q}]", m)
+        check_integer(f"K[{q}]", k)
         if m < 2:
             raise GroupTooSmallError(q, "subarray size M", m)
         if k < 2:

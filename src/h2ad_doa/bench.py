@@ -20,7 +20,7 @@ from typing import Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from .array_model import ArrayConfig, ConfigError
+from .array_model import ArrayConfig, ConfigError, check_integer
 from .fusion import (
     WEIGHTING_METHODS,
     AngleOutOfGuardError,
@@ -30,7 +30,7 @@ from .fusion import (
     fused_crlb,
     group_candidates,
 )
-from .mbdnn import ModelFormatError, load_model_for, predict_doa
+from .mbdnn import load_model_for, predict_doa
 from .signal_sim import SimScenario, derive_seed
 
 METHODS = WEIGHTING_METHODS + ("mbdnn",)
@@ -43,10 +43,6 @@ class EmptyTrialSetError(ValueError):
     """RMSE requested over zero estimates."""
 
 
-class ModelLoadError(RuntimeError):
-    """The mbdnn method was requested but its model cannot be loaded."""
-
-
 @dataclass(frozen=True)
 class BenchSpec:
     """One sweep request.
@@ -54,7 +50,8 @@ class BenchSpec:
     Grids multiply: every combination of SNR, snapshot count, and
     uniform subarray count ``K`` becomes a cell.  ``k_grid=None`` keeps
     the configuration's own subarray counts.  Construction runs
-    :meth:`validate`, so a spec that exists can be swept.
+    :meth:`validate`, so a spec that exists can be swept; ``trials`` and
+    ``master_seed`` must be integers.
     """
 
     cfg: ArrayConfig
@@ -71,6 +68,8 @@ class BenchSpec:
         self.validate()
 
     def validate(self) -> "BenchSpec":
+        check_integer("trials", self.trials)
+        check_integer("master_seed", self.master_seed)
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
         if self.master_seed < 0:
@@ -135,13 +134,10 @@ def run_sweep(spec: BenchSpec) -> list[ResultRow]:
     """Run the full grid for every requested method.
 
     A row's ``wall_ms`` is the cell's front-end time plus the method's own.
+    The mbdnn model is loaded first, so an unreadable model file raises
+    its ``OSError`` or ``ModelFormatError`` before any trial.
     """
-    model = None
-    if "mbdnn" in spec.methods:
-        try:
-            model = load_model_for(spec.cfg, spec.model_path)
-        except (ModelFormatError, OSError) as err:
-            raise ModelLoadError(f"cannot load {spec.model_path}: {err}") from err
+    model = load_model_for(spec.cfg, spec.model_path) if "mbdnn" in spec.methods else None
     rows: list[ResultRow] = []
     for cell, base in enumerate(_cells(spec)):
         cfg, theta0, snr, snapshots = base.cfg, base.theta0, base.snr_db, base.snapshots

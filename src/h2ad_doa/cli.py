@@ -75,19 +75,13 @@ def _cmd_estimate(args) -> int:
         "tuple_deg": [float(v) for v in np.degrees(ratio.selected.angles)],
         "tuple_indices": list(ratio.selected.member_indices),
         "dispersion_rad2": ratio.selected.dispersion,
-        "weights_crlb_ratio": [float(w) for w in ratio.weights.weights],
-        "weights_exact_crlb": [float(w) for w in exact.weights.weights],
+        "weights_crlb_ratio": [float(w) for w in ratio.weights],
+        "weights_exact_crlb": [float(w) for w in exact.weights],
         "crlb_per_group_rad2": [float(c) for c in exact.crlb.per_group],
         "crlb_fused_rad2": exact.crlb.fused_bound,
         "fused_deg_crlb_ratio": math.degrees(ratio.theta_hat),
         "fused_deg_exact_crlb": math.degrees(exact.theta_hat),
     }
-    if args.dump_candidates:
-        with open(args.dump_candidates, "w") as fh:
-            fh.write("group\tindex\tangle_deg\tphase_rad\n")
-            for cs in sets:
-                for i, angle in enumerate(np.degrees(cs.angles)):
-                    fh.write(f"{cs.group_index}\t{i}\t{angle!r}\t{cs.phase_hat!r}\n")
     if args.json:
         print(json.dumps(result, indent=2))
     else:
@@ -204,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     _add_scenario_args(p)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--dump-candidates", metavar="PATH")
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("dataset", help="generate a training dataset CSV")

@@ -95,14 +95,6 @@ class TrueTuple:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Convex fusion weights over groups, tagged with their origin."""
-
-    weights: np.ndarray
-    method: str
-
-
-@dataclass(frozen=True)
 class CrlbReport:
     """Per-group and fused CRLB values (rad^2) for one operating point."""
 
@@ -114,12 +106,13 @@ class CrlbReport:
 class FusedEstimate:
     """Output of the full pipeline for one trial.
 
-    ``crlb`` is the report behind ``exact_crlb`` weights, None for ``crlb_ratio``.
+    ``weights`` holds the convex fusion weights in group order; ``crlb`` is
+    the report behind ``exact_crlb`` weights, None for ``crlb_ratio``.
     """
 
     theta_hat: float
     selected: TrueTuple
-    weights: WeightVector
+    weights: np.ndarray
     candidate_sets: tuple[CandidateSet, ...]
     crlb: CrlbReport | None
 
@@ -210,7 +203,7 @@ def crlb_group_exact(
     return float(numerator / denominator)
 
 
-def weights_exact(crlbs: Sequence[float]) -> WeightVector:
+def weights_exact(crlbs: Sequence[float]) -> np.ndarray:
     """Inverse-CRLB weights, normalized to sum to one."""
     values = np.asarray(crlbs, dtype=float)
     if values.size == 0:
@@ -218,10 +211,10 @@ def weights_exact(crlbs: Sequence[float]) -> WeightVector:
     if np.any(values <= 0) or not np.all(np.isfinite(values)):
         raise NonPositiveCrlbError(f"CRLBs must be finite and positive, got {values}")
     inv = 1.0 / values
-    return WeightVector(weights=inv / inv.sum(), method="exact_crlb")
+    return inv / inv.sum()
 
 
-def weights_crlb_ratio(cfg: ArrayConfig) -> WeightVector:
+def weights_crlb_ratio(cfg: ArrayConfig) -> np.ndarray:
     """Closed-form weights ``M_q^2 / sum(M_k^2)``.
 
     The CRLB-ratio rule: each group's weight grows with the square of
@@ -229,16 +222,14 @@ def weights_crlb_ratio(cfg: ArrayConfig) -> WeightVector:
     so it costs no CRLB evaluation at run time.
     """
     m_sq = np.asarray(cfg.M, dtype=float) ** 2
-    return WeightVector(weights=m_sq / m_sq.sum(), method="crlb_ratio")
+    return m_sq / m_sq.sum()
 
 
-def fuse(selected: TrueTuple, weights: WeightVector) -> float:
+def fuse(selected: TrueTuple, weights: np.ndarray) -> float:
     """Weighted average of the tuple members (radians)."""
-    if weights.weights.size != selected.angles.size:
-        raise ValueError(
-            f"{weights.weights.size} weights for {selected.angles.size} groups"
-        )
-    return float(np.dot(weights.weights, selected.angles))
+    if weights.size != selected.angles.size:
+        raise ValueError(f"{weights.size} weights for {selected.angles.size} groups")
+    return float(np.dot(weights, selected.angles))
 
 
 def fused_crlb(

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig, ConfigError
+from .array_model import ArrayConfig, ConfigError, check_integer
 from .fusion import GroupFailureError, group_candidates
 from .signal_sim import SimScenario, derive_seed
 from .subspace import CandidateSet
@@ -292,8 +292,9 @@ def _stage_loss_and_grads(
 class TrainConfig:
     """One training stage's hyperparameters (Adam throughout).
 
-    Construction checks them: an unknown stage, fewer than one epoch or
-    one sample per batch, a negative or non-finite learning rate, or a
+    Construction checks them: an unknown stage, an epoch count, batch
+    size or seed that is not an integer, fewer than one epoch or one
+    sample per batch, a negative or non-finite learning rate, or a
     negative seed raises ``ConfigError``.  A learning rate of 0 is legal
     and leaves the parameters unchanged.
     """
@@ -307,6 +308,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
+        for name in ("epochs", "batch_size", "seed"):
+            check_integer(name, getattr(self, name))
         if self.epochs < 1:
             raise ConfigError(f"epochs={self.epochs} must be >= 1")
         if self.batch_size < 1:
@@ -426,6 +429,7 @@ def generate_dataset(
     The layout check (:meth:`MlpSpec.from_config`) and every cell's
     scenario come before the first trial, so a spacing other than half a
     wavelength, an invalid angle, SNR or snapshot count, an empty grid,
+    a ``trials_per_cell`` or ``master_seed`` that is not an integer,
     ``trials_per_cell < 1`` or a negative master seed raises
     ``ConfigError`` before any work.
     Cells where any group's subspace collapses are skipped and counted,
@@ -434,6 +438,8 @@ def generate_dataset(
     spec = MlpSpec.from_config(cfg)
     if len(thetas_deg) == 0 or len(snrs_db) == 0:
         raise ConfigError("empty angle or SNR grid")
+    check_integer("trials_per_cell", trials_per_cell)
+    check_integer("master_seed", master_seed)
     if trials_per_cell < 1:
         raise ConfigError(f"trials_per_cell={trials_per_cell} must be >= 1")
     if master_seed < 0:

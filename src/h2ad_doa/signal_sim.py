@@ -26,7 +26,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .array_model import ArrayConfig, ConfigError, gain_coefficient, virtual_steering
+from .array_model import (
+    ArrayConfig,
+    ConfigError,
+    check_integer,
+    gain_coefficient,
+    virtual_steering,
+)
 
 SNAPSHOT_MAGIC = b"H2AD-SNAP"
 SNAPSHOT_VERSION = 1
@@ -68,7 +74,8 @@ def check_operating_point(snr_db: float, snapshots: int) -> None:
 class SimScenario:
     """One emitter/receiver configuration to simulate.
 
-    Construction checks it with :meth:`validate`.
+    Construction checks it with :meth:`validate`; ``snapshots`` and
+    ``seed`` must be integers (:func:`~h2ad_doa.array_model.check_integer`).
 
     Parameters
     ----------
@@ -100,6 +107,8 @@ class SimScenario:
         return float(10.0 ** (-self.snr_db / 10.0))
 
     def validate(self) -> "SimScenario":
+        check_integer("snapshots", self.snapshots)
+        check_integer("seed", self.seed)
         if not abs(self.theta0) < np.pi / 2:
             raise ConfigError(
                 f"theta0={self.theta0} rad must satisfy |theta0| < pi/2"

@@ -77,7 +77,7 @@ def test_criterion_1_noiseless_exactness():
 
 
 def test_criterion_2_weight_arithmetic():
-    w = weights_crlb_ratio(BASE_CFG).weights
+    w = weights_crlb_ratio(BASE_CFG)
     frozen_ok = np.allclose(w, (0.14454, 0.35693, 0.49853), atol=1e-5)
     rng = np.random.default_rng(MASTER_SEED)
     worst = 0.0
@@ -88,7 +88,7 @@ def test_criterion_2_weight_arithmetic():
         if any(math.gcd(a, b) != 1 for a, b in itertools.combinations(m, 2)):
             continue
         cfg = validate_config(ArrayConfig(M=m, K=(4,) * size))
-        worst = max(worst, abs(weights_crlb_ratio(cfg).weights.sum() - 1.0))
+        worst = max(worst, abs(weights_crlb_ratio(cfg).sum() - 1.0))
         done += 1
     ok = frozen_ok and worst < 1e-12
     assert report(
@@ -342,7 +342,7 @@ def test_criterion_9_oracle_equivalence():
     dominated = True
     for _ in range(20):
         crlbs = rng.uniform(0.1, 5.0, size=2)
-        w_opt = weights_exact(crlbs).weights
+        w_opt = weights_exact(crlbs)
         obj_opt = float(np.sum(w_opt**2 * crlbs))
         obj_grid = grid**2 * crlbs[0] + (1.0 - grid) ** 2 * crlbs[1]
         dominated &= obj_opt <= float(obj_grid.min()) + 1e-15

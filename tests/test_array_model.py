@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,9 @@ from h2ad_doa.array_model import (
     validate_config,
     virtual_steering,
 )
+from h2ad_doa.bench import BenchSpec
+from h2ad_doa.mbdnn import TrainConfig, generate_dataset
+from h2ad_doa.signal_sim import SimScenario
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 
@@ -222,3 +226,40 @@ def test_load_config_rejects_group_count_mismatch(tmp_path):
 def test_load_config_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "nope.json")
+
+
+# (owner, field) -> (build with the field set to a value, a valid value)
+_INTEGER_FIELDS = {
+    ("ArrayConfig", "M[1]"): (lambda v: ArrayConfig(M=(7, v, 13), K=(16, 16, 16)), 11),
+    ("ArrayConfig", "K[1]"): (lambda v: ArrayConfig(M=(7, 11, 13), K=(16, v, 16)), 16),
+    ("SimScenario", "snapshots"): (lambda v: SimScenario(BASE_CFG, 0.5, 10.0, v), 32),
+    ("SimScenario", "seed"): (lambda v: SimScenario(BASE_CFG, 0.5, 10.0, 32, seed=v), 5),
+    ("BenchSpec", "trials"): (lambda v: BenchSpec(cfg=BASE_CFG, trials=v), 2),
+    ("BenchSpec", "master_seed"): (lambda v: BenchSpec(cfg=BASE_CFG, master_seed=v), 3),
+    ("TrainConfig", "epochs"): (lambda v: TrainConfig("mb_fcnn", epochs=v), 2),
+    ("TrainConfig", "batch_size"): (lambda v: TrainConfig("mb_fcnn", batch_size=v), 4),
+    ("TrainConfig", "seed"): (lambda v: TrainConfig("mb_fcnn", seed=v), 5),
+    ("generate_dataset", "trials_per_cell"): (
+        lambda v: generate_dataset(BASE_CFG, [40.0], [10.0], v, snapshots=32), 1),
+    ("generate_dataset", "master_seed"): (
+        lambda v: generate_dataset(BASE_CFG, [40.0], [10.0], 1, snapshots=32,
+                                   master_seed=v), 3),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(sorted(_INTEGER_FIELDS)),
+       value=st.floats() | st.integers(-10**6, 10**6).map(float) | st.booleans())
+def test_integer_fields_refuse_floats_and_bools(key, value):
+    # refused at construction, naming the field; a float that passed would
+    # fail later with a TypeError, which the CLI maps to no exit code
+    build, _ = _INTEGER_FIELDS[key]
+    with pytest.raises(ConfigError, match=re.escape(f"{key[1]}={value!r}")):
+        build(value)
+
+
+@pytest.mark.parametrize("key", sorted(_INTEGER_FIELDS), ids="-".join)
+def test_integer_fields_accept_python_and_numpy_integers(key):
+    build, valid = _INTEGER_FIELDS[key]
+    build(valid)
+    build(np.int64(valid))

@@ -17,7 +17,6 @@ from h2ad_doa.bench import (
     METHODS,
     BenchSpec,
     EmptyTrialSetError,
-    ModelLoadError,
     ResultRow,
     compute_rmse,
     emit_csv,
@@ -254,6 +253,14 @@ def test_parse_csv_rejects_malformed_records():
         assert back == rows[: text[:n].count("\n") - 1]
 
 
+def test_parse_csv_skips_blank_lines():
+    rows = [ResultRow(method=m, snr_db=0.0, snapshots=10, K=16, rmse_deg=0.25,
+                      crlb_fused_deg=0.5, trials_used=6, failures=0, wall_ms=18.4)
+            for m in ("crlb_ratio", "exact_crlb")]
+    header, first, second = emit_csv(rows).splitlines()
+    assert parse_csv(f"{header}\n{first}\n\n{second}\n") == rows
+
+
 def test_emit_plot_data(tmp_path):
     rows = run_sweep(tiny_spec(snr_grid=(0.0, 10.0), methods=("crlb_ratio", "exact_crlb")))
     paths = emit_plot_data(rows, tmp_path / "plt")
@@ -297,8 +304,13 @@ def test_mbdnn_method_in_sweep(tmp_path):
 
 
 def test_mbdnn_model_load_error(tmp_path):
-    bad = tmp_path / "nope.mbdnn"
-    with pytest.raises(ModelLoadError):
+    # the loader's own exception reaches the caller (the CLI maps both to 3)
+    missing = tmp_path / "nope.mbdnn"
+    with pytest.raises(FileNotFoundError):
+        run_sweep(tiny_spec(methods=("mbdnn",), model_path=str(missing)))
+    bad = tmp_path / "bad.mbdnn"
+    bad.write_bytes(b"NOTMB1" + bytes(64))
+    with pytest.raises(mbdnn.ModelFormatError, match="bad magic"):
         run_sweep(tiny_spec(methods=("mbdnn",), model_path=str(bad)))
 
 
@@ -323,6 +335,18 @@ def test_cli_config_error_is_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"groups": 2, "M": [6, 9], "K": [4, 4]}))
     assert cli_main(["validate", "--config", str(path)]) == 2
     assert "coprime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, shown", [
+    ([3, [7, 11, 13], [16, 16, 16]], "must be a JSON object"),
+    ({"groups": 3, "M": [7, 11, 13]}, "missing required key 'K'"),
+], ids=["json-array", "missing-K"])
+def test_cli_malformed_config_document_is_exit_2(tmp_path, capsys, document, shown):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(document))
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and shown in err
 
 
 @pytest.mark.parametrize("field, value, shown", [
@@ -490,10 +514,11 @@ _ONE_CELL = ["--snr-min", "10", "--snr-max", "10", "--trials", "1"]
         (["dataset", "--theta-step", "30", *_ONE_CELL], "d_over_lambda", 0.4),
         (["train", "--dataset", "missing.csv"], "d_over_lambda", 0.4),
         (["predict"], "d_over_lambda", 0.4),
+        (["bench", "--snr-grid", "1,x", "--trials", "1"], "bad grid '1,x'", 0.5),
     ],
     ids=["bench-T0", "bench-snr-neginf", "bench-snr-nan", "dataset-endfire",
          "dataset-T0", "estimate-T0", "estimate-theta95", "dataset-spacing0.4",
-         "train-spacing0.4", "predict-spacing0.4"],
+         "train-spacing0.4", "predict-spacing0.4", "bench-snr-grid-text"],
 )
 def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field, spacing):
     # rejected at construction: exit 2 naming the field, and no output file.
@@ -502,8 +527,8 @@ def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field,
     # predict before it reads the model (here the missing output path).
     save_config(replace(BASE_CFG, d_over_lambda=spacing), cfg_file)
     out = str(tmp_path / "out")
-    flag = {"estimate": "--dump-candidates", "predict": "--model"}.get(argv[0], "--out")
-    assert cli_main([argv[0], "--config", cfg_file, *argv[1:], flag, out]) == 2
+    output = {"estimate": [], "predict": ["--model", out]}.get(argv[0], ["--out", out])
+    assert cli_main([argv[0], "--config", cfg_file, *argv[1:], *output]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]

@@ -80,6 +80,11 @@ def test_select_true_tuple_needs_two_groups():
         select_true_tuple([np.array([0.1, 0.2])])
 
 
+def test_select_true_tuple_rejects_empty_set():
+    with pytest.raises(ValueError, match="empty candidate set"):
+        select_true_tuple([np.array([0.1, 0.2]), np.array([])])
+
+
 def test_select_true_tuple_rejects_unsorted_candidates():
     with pytest.raises(ValueError):
         select_true_tuple([np.array([0.2, 0.1]), np.array([0.1, 0.2])])
@@ -215,11 +220,10 @@ def test_extreme_snr_at_the_limit_runs_cleanly(snr_db):
 
 def test_weights_exact_inverse_crlb():
     w = weights_exact([2.0, 1.0])
-    assert np.allclose(w.weights, [1 / 3, 2 / 3])
-    assert w.method == "exact_crlb"
+    assert np.allclose(w, [1 / 3, 2 / 3])
     u = weights_exact(GOLDEN_CRLB)
     inv = 1.0 / np.asarray(GOLDEN_CRLB)
-    assert np.allclose(u.weights, inv / inv.sum(), atol=1e-15)
+    assert np.allclose(u, inv / inv.sum(), atol=1e-15)
 
 
 def test_weights_exact_rejects_nonpositive():
@@ -227,17 +231,18 @@ def test_weights_exact_rejects_nonpositive():
         weights_exact([1e-6, -1e-6])
     with pytest.raises(NonPositiveCrlbError):
         weights_exact([0.0, 1.0])
+    with pytest.raises(NonPositiveCrlbError, match="no CRLB values"):
+        weights_exact([])
 
 
 def test_weights_crlb_ratio_frozen():
     w = weights_crlb_ratio(BASE_CFG)
     assert np.allclose(
-        w.weights,
+        w,
         (0.14454277286135694, 0.35693215339233036, 0.49852507374631266),
         atol=1e-12,
     )
-    assert w.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    assert w.method == "crlb_ratio"
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fuse_frozen_arithmetic():
@@ -245,6 +250,12 @@ def test_fuse_frozen_arithmetic():
     selected = select_true_tuple(groups)
     fused = fuse(selected, weights_crlb_ratio(BASE_CFG))
     assert math.degrees(fused) == pytest.approx(41.35398230088496, abs=1e-10)
+
+
+def test_fuse_rejects_wrong_weight_count():
+    selected = select_true_tuple([np.array([0.1]), np.array([0.2])])
+    with pytest.raises(ValueError, match="3 weights for 2 groups"):
+        fuse(selected, weights_crlb_ratio(BASE_CFG))
 
 
 def test_fused_crlb_harmonic_composition():
@@ -396,8 +407,7 @@ def test_group_candidates_counts():
 def test_estimate_doa_high_snr(method):
     est = estimate_doa(scenario(snr_db=30.0, seed=4), method=method)
     assert math.degrees(est.theta_hat) == pytest.approx(41.0, abs=0.01)
-    assert est.weights.method == method
-    assert est.weights.weights.sum() == pytest.approx(1.0)
+    assert est.weights.sum() == pytest.approx(1.0)
     assert len(est.candidate_sets) == 3
     assert np.max(np.abs(est.selected.angles - THETA41)) < math.radians(0.05)
 
@@ -423,11 +433,11 @@ def test_estimate_doa_is_fusion_of_group_candidates(method):
     assert est.candidate_sets == sets
     if method == "crlb_ratio":
         assert est.crlb is None
+        assert np.array_equal(est.weights, weights_crlb_ratio(BASE_CFG))
     else:
         # the report the weights came from, at the tuple-mean plug-in angle
         assert est.crlb == fused_crlb(BASE_CFG, est.selected.mean, 0.0, 200)
-        assert np.array_equal(est.weights.weights,
-                              weights_exact(est.crlb.per_group).weights)
+        assert np.array_equal(est.weights, weights_exact(est.crlb.per_group))
 
 
 @st.composite

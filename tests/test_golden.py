@@ -52,3 +52,25 @@ def test_package_all_names_import():
     exec("from h2ad_doa import *", namespace)
     assert len(set(h2ad_doa.__all__)) == len(h2ad_doa.__all__)
     assert set(h2ad_doa.__all__) <= set(namespace)
+
+
+def _runtime_imports():
+    """(file, top-level module) for every absolute import in the package
+    source.  The files are parsed, not run."""
+    found = []
+    for path in sorted((ROOT / "src" / "h2ad_doa").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name.split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.append((path.name, node.module.split(".")[0]))
+    return found
+
+
+def test_runtime_imports_only_numpy_and_stdlib():
+    # The package's one runtime dependency is numpy (pyproject.toml); a
+    # third-party import would break installs that carry only that.
+    imports = _runtime_imports()
+    allowed = set(sys.stdlib_module_names) | {"numpy", "h2ad_doa"}
+    assert "numpy" in {m for _, m in imports}
+    assert [f"{f}: {m}" for f, m in imports if m not in allowed] == []

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -221,6 +222,10 @@ def test_train_rejects_bad_stage_and_empty_data():
         train(model, random_dataset(8), TrainConfig(stage="warmup"))
     with pytest.raises(ValueError):
         train(model, random_dataset(0), TrainConfig(stage="mb_fcnn"))
+    narrow = random_dataset(8)
+    narrow.features = narrow.features[:, :-1]
+    with pytest.raises(ShapeMismatchError, match="feature length 30"):
+        train(model, narrow, TrainConfig(stage="mb_fcnn"))
 
 
 def test_training_bits_pinned():
@@ -282,6 +287,8 @@ def test_features_from_candidates_layout():
 def test_features_from_candidates_rejects_wrong_block():
     sc = SimScenario(cfg=BASE_CFG, theta0=0.1, snr_db=15.0, snapshots=100, seed=3)
     sets = list(group_candidates(sc))
+    with pytest.raises(ShapeMismatchError, match="2 candidate sets for 3 groups"):
+        features_from_candidates(SPEC, sets[:2])
     sets[1] = sets[0]
     with pytest.raises(ShapeMismatchError):
         features_from_candidates(SPEC, sets)
@@ -489,6 +496,22 @@ def test_model_dim_mismatch(tmp_path):
     raw[10] = 6
     path.write_bytes(bytes(raw))
     with pytest.raises(DimMismatchError):
+        load_model(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda raw: struct.pack_into("<I", raw, 6, 0), "group count 0"),
+    (lambda raw: struct.pack_into("<I", raw, 6, 1025), "group count 1025"),
+    (lambda raw: struct.pack_into("<I", raw, 10, 1), r"sizes \(1, 11, 13\) out of range"),
+    (lambda raw: raw.append(0), "1 trailing bytes"),
+], ids=["groups-0", "groups-1025", "M-1", "trailing-byte"])
+def test_model_header_refusals(tmp_path, edit, match):
+    path = tmp_path / "m.mbdnn"
+    save_model(init_model(SPEC, seed=1), path)
+    raw = bytearray(path.read_bytes())
+    edit(raw)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DimMismatchError, match=match):
         load_model(path)
 
 

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -187,6 +188,16 @@ def test_snapshot_bad_magic(tmp_path):
     raw[:4] = b"XXXX"
     path.write_bytes(bytes(raw))
     with pytest.raises(SnapshotFormatError):
+        read_snapshots(path)
+
+
+def test_snapshot_unsupported_version(tmp_path):
+    path = tmp_path / "g.snap"
+    write_snapshots(simulate_group(scenario(), 0), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<H", raw, 9, 2)  # the version follows the 9-byte magic
+    path.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotFormatError, match="unsupported version 2"):
         read_snapshots(path)
 
 
