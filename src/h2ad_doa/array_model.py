@@ -103,9 +103,9 @@ class ArrayConfig:
     Parameters
     ----------
     M : tuple of int
-        Subarray size per group, pairwise coprime.
+        Subarray size per group, pairwise coprime; stored as a tuple.
     K : tuple of int
-        Number of subarrays per group.
+        Number of subarrays per group; stored as a tuple.
     d_over_lambda : float
         Element spacing in wavelengths.  Half-wavelength is the supported
         operating point; the candidate-count contract assumes it.
@@ -119,6 +119,9 @@ class ArrayConfig:
     wavelength: float = 1.0
 
     def __post_init__(self) -> None:
+        # tuples keep every config hashable, as the simulator's memo needs
+        object.__setattr__(self, "M", tuple(self.M))
+        object.__setattr__(self, "K", tuple(self.K))
         validate_config(self)
 
     @property

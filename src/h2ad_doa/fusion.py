@@ -138,24 +138,37 @@ def select_true_tuple(sets: Sequence) -> TrueTuple:
     minimum is the lexicographically smallest index tuple among the
     optimal ones, the same tie-break as the exhaustive search.
 
+    The sweep runs on the groups' concatenated angles, with group
+    boundaries masked: probe ``p`` steps the group of the ``p``-th sorted
+    midpoint.  At a midpoint several groups share, that also visits the
+    tuples with only some of them stepped; being in the same
+    componentwise order, they cannot move the exhaustive search's choice.
+
     ``sets`` may hold :class:`CandidateSet` objects or bare angle
     arrays; each must be strictly ascending.
     """
     arrays = _angle_arrays(sets)
     if len(arrays) < 2:
         raise ValueError("need candidate sets from at least two groups")
-    if any(a.size == 0 for a in arrays):
+    sizes = [a.size for a in arrays]
+    if 0 in sizes:
         raise ValueError("empty candidate set")
-    if not all(np.all(np.diff(a) > 0) for a in arrays):
+    angles = np.concatenate(arrays)
+    starts = np.cumsum([0, *sizes[:-1]])
+    inner = np.ones(angles.size - 1, dtype=bool)
+    inner[starts[1:] - 1] = False  # pairs that straddle two groups
+    lower, upper = angles[:-1][inner], angles[1:][inner]
+    if not (upper > lower).all():
         raise ValueError("candidate angles must be strictly ascending")
-    mids = [(a[:-1] + a[1:]) / 2.0 for a in arrays]
-    probes = np.concatenate([[-np.inf], *mids])
-    probes.sort()
-    rows = np.stack([np.searchsorted(m, probes, side="right") for m in mids], axis=1)
-    stacked = np.stack([a[idx] for a, idx in zip(arrays, rows.T)], axis=1)
+    mids = (lower + upper) / 2.0
+    owner = np.repeat(np.arange(len(arrays)), np.subtract(sizes, 1))
+    stepped = owner[mids.argsort(kind="stable"), None] == np.arange(len(arrays))
+    rows = np.zeros((mids.size + 1, len(arrays)), dtype=np.intp)
+    np.cumsum(stepped, axis=0, out=rows[1:])
+    stacked = angles[rows + starts]
     mean = stacked.mean(axis=1, keepdims=True)
-    dispersion = np.sum((stacked - mean) ** 2, axis=1)
-    best = int(np.argmin(dispersion))
+    dispersion = ((stacked - mean) ** 2).sum(axis=1)
+    best = int(dispersion.argmin())
     return TrueTuple(
         angles=stacked[best].copy(),
         member_indices=tuple(int(i) for i in rows[best]),

@@ -477,11 +477,17 @@ def _spectrum_minimum(asc: np.ndarray) -> complex:
 
 
 def _newton_root(asc: np.ndarray, z: complex) -> complex | None:
-    """Newton iteration on ``sum_m asc[m] z^m``; None if it does not converge."""
-    powers = np.arange(asc.size)
-    slope_coeffs = powers[1:] * asc[1:]
+    """Newton iteration on ``sum_m asc[m] z^m``; None if it does not converge.
+
+    The powers ``z^m`` come from one cumulative product, not ``z ** m``:
+    one complex multiply per power in place of a complex ``pow`` each.
+    """
+    slope_coeffs = np.arange(1, asc.size) * asc[1:]
+    factors = np.ones(asc.size, dtype=complex)
+    zp = np.empty_like(factors)
     for _ in range(_NEWTON_MAX_STEPS):
-        zp = z ** powers
+        factors[1:] = z
+        np.multiply.accumulate(factors, out=zp)
         slope = zp[:-1] @ slope_coeffs
         if slope == 0:
             return None

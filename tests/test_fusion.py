@@ -31,7 +31,7 @@ from h2ad_doa.subspace import (
     root_music_phase,
 )
 
-from sim_oracles import crlb_group_approx
+from sim_oracles import crlb_group_approx, searchsorted_tuple, uncached_estimate
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 THETA41 = math.radians(41.0)
@@ -123,6 +123,8 @@ def test_select_true_tuple_equals_product_oracle(groups):
     assert chosen.member_indices == combo
     assert chosen.dispersion == disp
     assert np.array_equal(chosen.angles, [g[i] for g, i in zip(groups, combo)])
+    angles, indices = searchsorted_tuple(groups)
+    assert indices == combo and chosen.angles.tobytes() == angles.tobytes()
 
 
 def test_select_true_tuple_scales_past_exhaustive_search():
@@ -185,6 +187,9 @@ def test_crlb_guard_region(fn):
 @pytest.mark.parametrize("snr_db, snapshots, field", [
     (0.0, 0, "snapshots"),
     (0.0, -3, "snapshots"),
+    (0.0, 2.5, "snapshots"),
+    (0.0, 200.0, "snapshots"),
+    (0.0, True, "snapshots"),
     (-math.inf, 200, "snr_db"),
     (math.nan, 200, "snr_db"),
     (1001.0, 200, "snr_db"),
@@ -196,8 +201,8 @@ def test_crlb_guard_region(fn):
     lambda snr, t: crlb_group_approx(BASE_CFG, 0, 0.7, snr, t),
 ], ids=["fused_crlb", "crlb_group_exact", "crlb_group_approx"])
 def test_crlb_rejects_invalid_operating_point(fn, snr_db, snapshots, field):
-    # previously a ZeroDivisionError, an OverflowError, an infinite bound
-    # or a NaN bound
+    # previously a ZeroDivisionError, an OverflowError, an infinite bound,
+    # a NaN bound or a bound for a fractional snapshot count
     with pytest.raises(ConfigError, match=field):
         fn(snr_db, snapshots)
 
@@ -438,6 +443,26 @@ def test_estimate_doa_is_fusion_of_group_candidates(method):
         # the report the weights came from, at the tuple-mean plug-in angle
         assert est.crlb == fused_crlb(BASE_CFG, est.selected.mean, 0.0, 200)
         assert np.array_equal(est.weights, weights_exact(est.crlb.per_group))
+
+
+@pytest.mark.parametrize("M, K", [
+    ((11, 13, 17), (16, 16, 16)),
+    ((11, 13, 17), (64, 64, 64)),
+    ((11, 13, 17, 19, 23), (8, 8, 8, 8, 8)),
+], ids=["k16", "k64", "q5-k8"])
+@pytest.mark.parametrize("method", ["crlb_ratio", "exact_crlb"])
+def test_estimate_doa_equals_uncached_chain_on_misses_and_hits(M, K, method):
+    # the first trial of a cell computes the memoised group constants, the
+    # rest reuse them; an SNR change keeps the entry, an angle change does not
+    cfg = ArrayConfig(M=M, K=K)
+    signal_sim._group_constants.cache_clear()
+    for theta_deg, snr_db, seed in ((41.0, 10.0, 0), (41.0, 10.0, 1), (41.0, 0.0, 2),
+                                    (-23.5, 10.0, 3), (41.0, 30.0, 4)):
+        sc = scenario(cfg=cfg, theta0=math.radians(theta_deg), snr_db=snr_db, seed=seed)
+        got = estimate_doa(sc, method).theta_hat
+        assert np.float64(got).tobytes() == np.float64(uncached_estimate(sc, method)).tobytes()
+    info = signal_sim._group_constants.cache_info()
+    assert (info.misses, info.hits) == (2, 3)
 
 
 @st.composite

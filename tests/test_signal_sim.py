@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from h2ad_doa import signal_sim
 from h2ad_doa.array_model import ArrayConfig, gain_coefficient, virtual_steering
+from h2ad_doa.fusion import estimate_doa
 from h2ad_doa.signal_sim import (
     _EMITTER_STREAM,
+    GROUP_CONSTANTS_CACHE_SIZE,
     GroupSnapshots,
     SimScenario,
     SnapshotFormatError,
@@ -17,7 +20,9 @@ from h2ad_doa.signal_sim import (
     read_snapshots,
     sample_covariance,
     simulate_group,
+    simulate_groups,
     write_snapshots,
+    _rekeyed,
     _stream,
 )
 
@@ -105,6 +110,103 @@ def test_synthesis_bytes_match_reference_expressions(k, snr_db):
             assert emitter_waveform(sc).tobytes() == x.tobytes()
             assert snap.data.tobytes() == data.tobytes()
             assert sample_covariance(snap).tobytes() == cov.tobytes()
+
+
+def _draws(rng, shapes):
+    """Bytes of a normal, a uint32 and a uint64 draw per shape, in turn."""
+    out = []
+    for shape in shapes:
+        out.append(rng.standard_normal(shape).tobytes())
+        out.append(rng.integers(0, 2**32, size=shape, dtype=np.uint32).tobytes())
+        out.append(rng.integers(0, 2**64, size=shape, dtype=np.uint64).tobytes())
+    return out
+
+
+_SHAPES = st.lists(
+    st.one_of(st.integers(0, 9).map(lambda n: (n,)),
+              st.tuples(st.integers(1, 4), st.integers(1, 5))),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       stream_id=st.one_of(st.integers(0, 2**64 - 1), st.just(_EMITTER_STREAM)),
+       previous=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+       raw_words=st.integers(0, 7), half_words=st.integers(0, 7), shapes=_SHAPES)
+def test_rekeyed_bit_generator_equals_fresh_philox(seed, stream_id, previous, raw_words,
+                                                   half_words, shapes):
+    # leave another stream part-way: random_raw moves buffer_pos, and an odd
+    # count of uint32 draws leaves has_uint32 set with a word held back
+    bitgen = np.random.Philox(key=np.array(previous, dtype=np.uint64))
+    bitgen.random_raw(raw_words)
+    np.random.Generator(bitgen).integers(0, 2**32, size=half_words, dtype=np.uint32)
+    assert bitgen.state["has_uint32"] == half_words % 2
+    rekeyed = _rekeyed(bitgen, seed, stream_id)
+    fresh = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
+    assert _draws(rekeyed, shapes) == _draws(np.random.Generator(fresh), shapes)
+    assert _draws(_rekeyed(bitgen, seed, stream_id), shapes) == _draws(_stream(seed, stream_id), shapes)
+
+
+def test_trial_builds_one_bit_generator_for_its_group_streams(monkeypatch):
+    # one Philox for the emitter's own stream and one, re-keyed, for all
+    # five group streams
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **kw: built.append(kw) or philox(*a, **kw))
+    cfg = ArrayConfig(M=(11, 13, 17, 19, 23), K=(8,) * 5)
+    estimate_doa(scenario(cfg=cfg, snr_db=10.0, seed=3))
+    assert len(built) == 2
+    emitter = [kw for kw in built if "key" in kw]
+    assert len(emitter) == 1 and int(emitter[0]["key"][1]) == _EMITTER_STREAM
+
+
+def test_memoised_group_constants_are_read_only_and_shared():
+    sc = scenario(seed=2)
+    constants = signal_sim._group_constants(sc.cfg, sc.theta0, 1.0)
+    for amplitude, steer in constants:
+        assert type(amplitude) is complex
+        with pytest.raises(ValueError, match="read-only"):
+            steer[0] = 0.0
+    assert signal_sim._group_constants(sc.cfg, sc.theta0, 1.0) is constants
+
+
+@pytest.mark.parametrize("first, theta", [
+    (0.0, -0.0), (-0.0, 0.0), (0.0, 0), (0.7, np.float64(0.7)), (-1.2, -1.2),
+])
+def test_memoised_group_constants_equal_fresh_ones(first, theta):
+    # an entry filled by one angle and read for an equal one (an int or
+    # np.float64 reads a float's entry; -0.0 and +0.0 get one each) gives
+    # the bytes of a fresh computation
+    signal_sim._group_constants.cache_clear()
+    simulate_groups(scenario(theta0=first, snapshots=1))
+    constants = signal_sim._group_constants(BASE_CFG, theta, math.copysign(1.0, theta))
+    for q, (amplitude, steer) in enumerate(constants):
+        geom = BASE_CFG.group(q)
+        fresh = gain_coefficient(geom, theta) / np.sqrt(geom.subarray_size)
+        assert np.complex128(amplitude).tobytes() == np.complex128(fresh).tobytes()
+        assert steer.tobytes() == virtual_steering(geom, theta).tobytes()
+
+
+def test_sequence_config_and_array_angle_simulate_like_tuple_and_float():
+    # the memo keys need hashable values: a config built from lists stores
+    # tuples, and a 0-d array angle is read as its float
+    listed = ArrayConfig(M=[7, 11, 13], K=np.array([16, 16, 16]))
+    assert (listed.M, listed.K) == (BASE_CFG.M, BASE_CFG.K)
+    reference = [b.data.tobytes() for b in simulate_groups(scenario())]
+    for sc in (scenario(cfg=listed), scenario(theta0=np.array(math.radians(41.0)))):
+        assert [b.data.tobytes() for b in simulate_groups(sc)] == reference
+
+
+def test_group_constants_cache_is_bounded():
+    signal_sim._group_constants.cache_clear()
+    cfg = ArrayConfig(M=(2, 3), K=(2, 2))
+    for i in range(GROUP_CONSTANTS_CACHE_SIZE + 10):
+        simulate_groups(scenario(cfg=cfg, theta0=i * 1e-3, snapshots=1))
+    info = signal_sim._group_constants.cache_info()
+    assert info.maxsize == GROUP_CONSTANTS_CACHE_SIZE
+    assert info.currsize == GROUP_CONSTANTS_CACHE_SIZE
+    assert info.misses == GROUP_CONSTANTS_CACHE_SIZE + 10
 
 
 def test_group_shapes():
