@@ -15,6 +15,7 @@ exactly one angle.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -139,13 +140,21 @@ class ArrayConfig:
         return int(sum(k * m for k, m in zip(self.K, self.M)))
 
     def group(self, q: int) -> GroupGeometry:
-        """Geometry of group ``q``."""
-        return GroupGeometry(
-            group_index=q,
-            subarray_size=self.M[q],
-            num_subarrays=self.K[q],
-            spacing=self.spacing,
-            wavelength=self.wavelength,
+        """Geometry of group ``q`` (``0 <= q < num_groups``)."""
+        return self._geometries[q]
+
+    @functools.cached_property
+    def _geometries(self) -> tuple[GroupGeometry, ...]:
+        # built on first use and kept: the config is frozen
+        return tuple(
+            GroupGeometry(
+                group_index=q,
+                subarray_size=m,
+                num_subarrays=k,
+                spacing=self.spacing,
+                wavelength=self.wavelength,
+            )
+            for q, (m, k) in enumerate(zip(self.M, self.K))
         )
 
 

@@ -4,7 +4,10 @@
 (``estimate_doa``, the CLI, ``run_sweep`` and ``generate_dataset``).  It
 makes one stacked pass per trial: the emitter waveform is drawn once,
 each group's covariance comes from its own (K_q, T) snapshot block, and
-the groups are split into classes of equal ``K_q``.  Each class runs one
+the groups are split into classes of equal ``K_q``.  The blocks and their
+covariances are formed by the calling thread and, with more than one CPU,
+a bounded thread pool (:func:`~h2ad_doa.signal_sim.simulate_groups`); all
+that follows runs in the calling thread.  Each class runs one
 stacked eigensolve, one stacked polynomial build and, below ``K_q = 18``,
 one stacked companion rooting (see :mod:`h2ad_doa.subspace`).  The
 candidate sets equal the per-group chain's bit for bit.  If a stack
@@ -268,8 +271,11 @@ def group_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
     """Run the per-group front end: simulate, covariance, root, unfold.
 
     One stacked pass per trial: the emitter waveform is drawn once, each
-    group's covariance is formed from its own snapshot block, and the
-    groups that share a ``K_q`` go through :func:`noise_subspaces` and
+    group's covariance is formed from its own snapshot block in the thread
+    that drew it (:func:`~h2ad_doa.signal_sim.simulate_groups` splits the
+    groups over the calling thread and up to ``min(Q, CPUs) - 1`` pool
+    threads; with one CPU it starts none), and the groups that share a
+    ``K_q`` go through :func:`noise_subspaces` and
     :func:`root_music_phases` together.  Every candidate set equals the
     one the per-group chain (:func:`~h2ad_doa.signal_sim.simulate_group`,
     :func:`sample_covariance`, :func:`~h2ad_doa.subspace.noise_subspace`,
@@ -293,7 +299,7 @@ def _candidates(
 ) -> tuple[CandidateSet, ...]:
     """One front-end pass; a failing stack is named by its first member."""
     cfg = scenario.cfg
-    covs = [sample_covariance(snap) for snap in simulate_groups(scenario)]
+    covs = simulate_groups(scenario, reduce=sample_covariance)
     phases = [0.0] * cfg.num_groups
     for members in stacks:
         try:

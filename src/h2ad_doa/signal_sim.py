@@ -17,25 +17,42 @@ on the order groups are simulated in.  :func:`simulate_groups` draws the
 waveform once for all the groups of a trial; :func:`simulate_group` is its
 one-group case and gives the same bytes.
 
-A trial's group streams share one Philox bit generator, re-keyed for
-each ``(seed, q)`` by setting its ``state`` to the one ``Philox(key=...)``
-starts in (:func:`_rekeyed`): the same stream bit for bit, for about 2 us
-against about 10 us to build a Philox, most of it the ``SeedSequence``
-that the key overrides.  Each draw gets its own ``Generator``; the emitter
-keeps its own :func:`_stream`.  Each group's amplitude and virtual
-steering vector depend on the array and ``theta0`` alone, which repeat
-from trial to trial in a sweep or dataset cell, so
-:func:`_group_constants` memoises them in a bounded cache of read-only
-arrays; a first trial, or a one-shot estimate, fills an entry.
+Each thread keeps one Philox bit generator for every stream it draws,
+re-keyed for each ``(seed, stream)`` by setting its ``state`` to the one
+``Philox(key=...)`` starts in (:func:`_rekeyed`): the same stream bit for
+bit, for about 2 us against about 10 us to build a Philox, most of it the
+``SeedSequence`` that the key overrides.  A thread builds its Philox on
+its first draw (:func:`_generator`), so a warmed trial builds none.  Each
+group's amplitude and virtual steering vector depend on the array and
+``theta0`` alone, which repeat from trial to trial in a sweep or dataset
+cell, so :func:`_group_constants` memoises them in a bounded cache of
+read-only arrays; a first trial, or a one-shot estimate, fills an entry.
+
+The groups' blocks are drawn in parallel.  Drawing the normals and the
+block arithmetic (and the covariance ``group_candidates`` asks for) run in
+numpy and BLAS with the GIL released, so :func:`simulate_groups` draws the
+emitter waveform in the calling thread, then splits the groups into
+``min(groups, CPUs) - 1`` shares for a pool of threads and one for itself,
+balanced by block size ``K_q * T``; CPUs are those of
+``os.sched_getaffinity(0)`` (``os.cpu_count()`` where a platform has no
+affinity mask).  With one CPU, or one group, no thread is started.  Since every block comes from its own stream, the bits do not
+depend on the split.  Each pool share runs in a copy of the caller's
+``contextvars`` context, so a caller's ``np.errstate`` holds there.  The
+pool is built on first use, bounded by the CPU count less one, and
+dropped in a forked child, which builds its own.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import functools
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -63,6 +80,32 @@ _ZERO_WORDS.flags.writeable = False
 #: ``(ArrayConfig, theta0)`` entries kept by :func:`_group_constants`.  A
 #: sweep or dataset cell reuses one entry for all its trials.
 GROUP_CONSTANTS_CACHE_SIZE = 128
+
+#: Holds each thread's Philox as ``philox`` (:func:`_generator`).
+_local = threading.local()
+
+#: The threads that draw the shares beyond the caller's (:func:`_fan_out`).
+_pool: concurrent.futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # A forked child has none of the pool's threads, and a lock held at the
+    # fork stays held in it: start both afresh.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where there is one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 class SnapshotFormatError(IOError):
@@ -190,6 +233,75 @@ def _rekeyed(bitgen: np.random.Philox, seed: int, stream_id: int) -> np.random.G
     return np.random.Generator(bitgen)
 
 
+def _generator(seed: int, stream_id: int) -> np.random.Generator:
+    """The calling thread's Philox re-keyed to (seed, stream id): the
+    stream of :func:`_stream`, bit for bit.  A thread's first call builds
+    its Philox."""
+    try:
+        bitgen = _local.philox
+    except AttributeError:
+        bitgen = _local.philox = np.random.Philox()
+    return _rekeyed(bitgen, seed, stream_id)
+
+
+def _shares(work: Sequence[int], n: int) -> list[list[int]]:
+    """Positions of ``work`` split into ``n`` shares of about equal total
+    work: largest first, each to the least loaded share (the first on a
+    tie).  Each share lists its positions in ascending order."""
+    loads = [0] * n
+    shares: list[list[int]] = [[] for _ in range(n)]
+    for i in sorted(range(len(work)), key=lambda i: -work[i]):
+        s = loads.index(min(loads))
+        shares[s].append(i)
+        loads[s] += work[i]
+    return [sorted(share) for share in shares]
+
+
+def _thread_pool() -> concurrent.futures.ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=max(1, _cpus() - 1),
+                thread_name_prefix="h2ad-draw",
+            )
+        return _pool
+
+
+def _fan_out(task: Callable[[Any], Any], args: Sequence, work: Sequence[int]) -> list:
+    """``[task(a) for a in args]``, split by ``work`` into one share for
+    the calling thread and ``min(len(args), CPUs) - 1`` for the pool.
+
+    Each pool share runs in a copy of the caller's context.  A share stops
+    at its first exception; once every share is done, the exception of the
+    first failing argument is raised, which is the one a serial loop
+    would raise.
+    """
+    n = min(len(args), _cpus())
+    if n < 2:
+        return [task(a) for a in args]
+    results: list = [None] * len(args)
+    failed: dict[int, Exception] = {}
+
+    def run(share: list[int]) -> None:
+        for i in share:
+            try:
+                results[i] = task(args[i])
+            except Exception as err:  # raised below, in argument order
+                failed[i] = err
+                return
+
+    first, *rest = _shares(work, n)
+    pool = _thread_pool()
+    futures = [pool.submit(contextvars.copy_context().run, run, share) for share in rest]
+    run(first)
+    for future in futures:
+        future.result()
+    if failed:
+        raise failed[min(failed)]
+    return results
+
+
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Unit-variance circular complex Gaussian draws, (g1 + j*g2)/sqrt(2).
 
@@ -208,33 +320,38 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 
 def emitter_waveform(scenario: SimScenario) -> np.ndarray:
     """The scenario's emitter samples ``x(n)``, shared by all groups."""
-    rng = _stream(scenario.seed, _EMITTER_STREAM)
+    rng = _generator(scenario.seed, _EMITTER_STREAM)
     return _complex_normal(rng, (scenario.snapshots,))
 
 
 def simulate_groups(
-    scenario: SimScenario, groups: Iterable[int] | None = None
-) -> tuple[GroupSnapshots, ...]:
+    scenario: SimScenario,
+    groups: Iterable[int] | None = None,
+    reduce: Callable[[GroupSnapshots], Any] | None = None,
+) -> tuple:
     """Simulate the snapshot blocks of ``groups`` (default: all, in order).
 
-    The shared emitter waveform is drawn once for all of them.  Each
-    block is deterministic given ``(scenario.seed, q)``.
+    The shared emitter waveform is drawn once for all of them, then the
+    blocks are drawn across threads (see the module notes).  Each block
+    is deterministic given ``(scenario.seed, q)``.  ``reduce``, if given,
+    maps each block to what is returned in its place, in the thread that
+    drew it: ``group_candidates`` passes ``sample_covariance``.
 
     Returns
     -------
-    tuple of GroupSnapshots
+    tuple of GroupSnapshots, or of what ``reduce`` returns
         ``data[k, n]`` is subarray ``k`` of group ``q`` at snapshot ``n``.
     """
     x = emitter_waveform(scenario)
     sigma_v = np.sqrt(scenario.noise_variance)
     theta0 = float(scenario.theta0)
     constants = _group_constants(scenario.cfg, theta0, math.copysign(1.0, theta0))
-    bitgen = np.random.Philox()  # re-keyed for each group's stream
-    blocks = []
-    for q in range(scenario.cfg.num_groups) if groups is None else groups:
+    groups = range(scenario.cfg.num_groups) if groups is None else tuple(groups)
+
+    def draw(q: int):
         amplitude, steer = constants[q]
         noise = _complex_normal(
-            _rekeyed(bitgen, scenario.seed, q), (steer.size, scenario.snapshots)
+            _generator(scenario.seed, q), (steer.size, scenario.snapshots)
         )
         # amplitude * outer(steer, x) + sigma_v * noise, in place; the scalar
         # stays the first operand, which selects the same complex-multiply loop
@@ -242,8 +359,10 @@ def simulate_groups(
         np.multiply(amplitude, data, out=data)
         np.multiply(sigma_v, noise, out=noise)
         data += noise
-        blocks.append(GroupSnapshots(group_index=q, data=data))
-    return tuple(blocks)
+        block = GroupSnapshots(group_index=q, data=data)
+        return block if reduce is None else reduce(block)
+
+    return tuple(_fan_out(draw, groups, [scenario.cfg.K[q] for q in groups]))
 
 
 @functools.lru_cache(maxsize=GROUP_CONSTANTS_CACHE_SIZE)

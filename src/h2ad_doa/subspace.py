@@ -612,10 +612,20 @@ def enumerate_candidates(phase_hat: float, geom: GroupGeometry) -> CandidateSet:
     two_pi = 2.0 * np.pi
     j_lo = math.ceil((-1.0 / scale - phase_hat) / two_pi - 1e-12)
     j_hi = math.floor((1.0 / scale - phase_hat) / two_pi + 1e-12)
-    j = np.arange(j_lo, j_hi + 1)
-    sines = scale * (phase_hat + two_pi * j)
-    keep = np.abs(sines) <= 1.0 + 1e-12
-    sines = np.clip(sines[keep], -1.0, 1.0)
+    # scale * (phase_hat + two_pi * j), in place
+    sines = np.arange(j_lo, j_hi + 1, dtype=float)
+    sines *= two_pi
+    sines += phase_hat
+    sines *= scale
+    # the sines ascend, so the ones within [-1, 1] (with tolerance) are one run
+    lo, hi, edge = 0, sines.size, 1.0 + 1e-12
+    while lo < hi and not abs(sines[lo]) <= edge:
+        lo += 1
+    while hi > lo and not abs(sines[hi - 1]) <= edge:
+        hi -= 1
+    sines = sines[lo:hi]
+    np.maximum(sines, -1.0, out=sines)  # np.clip's values, without its wrapper
+    np.minimum(sines, 1.0, out=sines)
     if sines.size == geom.subarray_size + 1:
         # Boundary fold: one alias too many; shed the outermost.
         order = sorted(range(sines.size), key=lambda i: (abs(sines[i]), sines[i]))

@@ -1,6 +1,8 @@
 """Test-only simulation oracles: the infinite-snapshot covariance,
-noise-only snapshot blocks, the large-``M_q`` closed-form CRLB and an
-uncached per-group chain of the whole estimate."""
+noise-only snapshot blocks, the large-``M_q`` closed-form CRLB, a masked
+candidate unfold and an uncached per-group chain of the whole estimate."""
+
+import math
 
 import numpy as np
 
@@ -83,6 +85,21 @@ def uncached_snapshots(scenario, q):
     )
     data = amplitude * np.outer(steer, x) + np.sqrt(scenario.noise_variance) * noise
     return GroupSnapshots(group_index=q, data=data)
+
+
+def masked_candidates(phase_hat, geom):
+    """``enumerate_candidates(phase_hat, geom).angles`` with a mask over
+    every alias and ``np.clip``."""
+    scale = geom.wavelength / (2.0 * np.pi * geom.virtual_spacing)
+    two_pi = 2.0 * np.pi
+    j_lo = math.ceil((-1.0 / scale - phase_hat) / two_pi - 1e-12)
+    j_hi = math.floor((1.0 / scale - phase_hat) / two_pi + 1e-12)
+    sines = scale * (phase_hat + two_pi * np.arange(j_lo, j_hi + 1))
+    sines = np.clip(sines[np.abs(sines) <= 1.0 + 1e-12], -1.0, 1.0)
+    if sines.size == geom.subarray_size + 1:
+        order = sorted(range(sines.size), key=lambda i: (abs(sines[i]), sines[i]))
+        sines = np.delete(sines, order[-1])
+    return np.arcsin(sines)
 
 
 def searchsorted_tuple(arrays):

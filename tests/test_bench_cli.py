@@ -134,7 +134,7 @@ def test_sweep_runs_front_end_once_per_trial(monkeypatch):
     seeds = []
     real = fusion.simulate_groups
     monkeypatch.setattr(fusion, "simulate_groups",
-                        lambda sc: seeds.append(sc.seed) or real(sc))
+                        lambda sc, **kw: seeds.append(sc.seed) or real(sc, **kw))
     spec = tiny_spec(snr_grid=(0.0, 10.0), methods=("crlb_ratio", "exact_crlb"))
     rows = run_sweep(spec)
     assert len(seeds) == 2 * spec.trials  # cells x trials, not x methods
@@ -547,7 +547,8 @@ def test_cli_refuses_model_for_other_subarray_sizes(cfg_file, tmp_path, capsys,
     mbdnn.generate_dataset(BASE_CFG, [40.0], [10.0], 1, snapshots=32).save_csv(ds)
     passes = []
     simulate = fusion.simulate_groups
-    monkeypatch.setattr(fusion, "simulate_groups", lambda sc: passes.append(sc) or simulate(sc))
+    monkeypatch.setattr(fusion, "simulate_groups",
+                        lambda sc, **kw: passes.append(sc) or simulate(sc, **kw))
     out = tmp_path / "out"
     argv = {
         "predict": ["--model", model, "--snapshots", "32"],

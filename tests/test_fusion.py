@@ -1,5 +1,11 @@
 import itertools
 import math
+import os
+import select
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -391,7 +397,8 @@ def test_other_exceptions_propagate_after_one_pass(monkeypatch):
     # escapes the first pass unwrapped, without a rerun
     passes, draws = [], []
     simulate, draw = fusion.simulate_groups, signal_sim.emitter_waveform
-    monkeypatch.setattr(fusion, "simulate_groups", lambda sc: passes.append(sc) or simulate(sc))
+    monkeypatch.setattr(fusion, "simulate_groups",
+                        lambda sc, **kw: passes.append(sc) or simulate(sc, **kw))
     monkeypatch.setattr(signal_sim, "emitter_waveform", lambda sc: draws.append(sc) or draw(sc))
 
     def broken(covs):
@@ -401,6 +408,113 @@ def test_other_exceptions_propagate_after_one_pass(monkeypatch):
     with pytest.raises(ZeroDivisionError, match="synthetic"):
         group_candidates(scenario(snr_db=10.0))
     assert (len(passes), len(draws)) == (1, 1)
+
+
+@pytest.mark.parametrize("raising, label", [({1, 2}, 1), ({2}, 2), ({0, 1, 2}, 0), ({1}, 1)])
+def test_draw_task_exception_is_the_first_failing_groups(monkeypatch, raising, label):
+    # the blocks are drawn across threads, yet a covariance that raises
+    # surfaces as the serial loop's would: the lowest failing group's,
+    # unwrapped and after one pass
+    real = fusion.sample_covariance
+
+    def covariance(snap):
+        if snap.group_index in raising:
+            raise ZeroDivisionError(f"group {snap.group_index}")
+        return real(snap)
+
+    monkeypatch.setattr("h2ad_doa.fusion.sample_covariance", covariance)
+    with pytest.raises(ZeroDivisionError, match=f"^group {label}$"):
+        group_candidates(scenario(snr_db=10.0))
+
+
+@pytest.mark.parametrize("over", ["ignore", "raise"])
+def test_caller_errstate_holds_in_every_draw_task(monkeypatch, over):
+    # np.errstate is context-local: each group's covariance, whichever
+    # thread forms it, overflows under the caller's setting
+    real = fusion.sample_covariance
+    seen = {}
+
+    def covariance(snap):
+        seen[snap.group_index] = np.geterr()["over"]
+        np.multiply(np.float64(1e308), 10.0)
+        return real(snap)
+
+    sc = scenario(snr_db=10.0, seed=5)
+    reference = estimate_doa(sc).theta_hat
+    monkeypatch.setattr("h2ad_doa.fusion.sample_covariance", covariance)
+    with np.errstate(over=over):
+        if over == "ignore":
+            assert estimate_doa(sc).theta_hat == reference
+        else:
+            with pytest.raises(FloatingPointError):
+                estimate_doa(sc)
+    assert set(seen.values()) == {over}
+    if over == "ignore":
+        assert sorted(seen) == [0, 1, 2]
+
+
+def test_concurrent_callers_get_the_serial_bits():
+    # more calling threads than cores, switching often, share the pool and
+    # must each see the bits of one serial pass
+    scenarios = [
+        (scenario(cfg=ArrayConfig(M=M, K=K), snr_db=snr, seed=seed), method)
+        for seed, (M, K, snr, method) in enumerate(
+            [((7, 11, 13), (16, 16, 16), 0.0, "crlb_ratio"),
+             ((11, 13, 17), (64, 64, 64), 0.0, "exact_crlb"),
+             ((11, 13, 17, 19, 23), (8,) * 5, 10.0, "crlb_ratio"),
+             ((7, 11, 13), (8, 20, 12), -5.0, "exact_crlb")] * 2)
+    ]
+    serial = [estimate_doa(sc, m).theta_hat for sc, m in scenarios]
+    got = {}
+
+    def caller(i):
+        got[i] = [estimate_doa(sc, m).theta_hat for sc, m in scenarios[i:] + scenarios[:i]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(6):
+        assert got[i] == serial[i:] + serial[:i]
+
+
+def test_forked_child_estimates_the_parents_bits():
+    # the child has none of the parent's pool threads; it must build its
+    # own rather than wait on them
+    sc = scenario(snr_db=10.0, seed=7)
+    expected = np.float64(estimate_doa(sc).theta_hat).tobytes()
+    if signal_sim._cpus() > 1:
+        assert signal_sim._pool is not None
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child: report and leave without running the parent's teardown
+        try:
+            signal.alarm(20)
+            os.close(read_end)
+            os.write(write_end, np.float64(estimate_doa(sc).theta_hat).tobytes())
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        ready, _, _ = select.select([read_end], [], [], 20.0)
+        got = os.read(read_end, 8) if ready else b""
+    finally:
+        os.close(read_end)
+        deadline = time.monotonic() + 20.0
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                break
+            time.sleep(0.01)
+    assert got == expected
 
 
 def test_group_candidates_counts():

@@ -1,8 +1,11 @@
 import ast
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import h2ad_doa
 
@@ -19,6 +22,33 @@ def test_golden_outputs_unchanged():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks here")
+def test_golden_outputs_unchanged_on_one_cpu():
+    # pinned to one CPU the blocks are drawn serially, with no thread started,
+    # and give the same bits
+    child = (
+        "import os, runpy, sys, threading\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "sys.argv = [sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_path(sys.argv[0], run_name='__main__')\n"
+        "except SystemExit as done:\n"
+        "    from h2ad_doa import signal_sim\n"
+        "    print('threads', threading.active_count(), 'pool', signal_sim._pool)\n"
+        "    sys.exit(done.code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(ROOT / "perfbench" / "golden.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-2:] == [
+        "golden: 60 of 60 outputs unchanged", "threads 1 pool None"]
 
 
 def _benchmark_imports():

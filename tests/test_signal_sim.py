@@ -1,5 +1,6 @@
 import math
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -148,17 +149,35 @@ def test_rekeyed_bit_generator_equals_fresh_philox(seed, stream_id, previous, ra
     assert _draws(_rekeyed(bitgen, seed, stream_id), shapes) == _draws(_stream(seed, stream_id), shapes)
 
 
-def test_trial_builds_one_bit_generator_for_its_group_streams(monkeypatch):
-    # one Philox for the emitter's own stream and one, re-keyed, for all
-    # five group streams
+def test_warmed_trial_builds_no_bit_generator(monkeypatch):
+    # each thread keeps one Philox for all its streams, the emitter's too:
+    # a thread's first trial builds one there, and its next trial none;
+    # no thread, calling or pool, ever builds a second
     built = []
     philox = np.random.Philox
-    monkeypatch.setattr(np.random, "Philox", lambda *a, **kw: built.append(kw) or philox(*a, **kw))
-    cfg = ArrayConfig(M=(11, 13, 17, 19, 23), K=(8,) * 5)
-    estimate_doa(scenario(cfg=cfg, snr_db=10.0, seed=3))
-    assert len(built) == 2
-    emitter = [kw for kw in built if "key" in kw]
-    assert len(emitter) == 1 and int(emitter[0]["key"][1]) == _EMITTER_STREAM
+    monkeypatch.setattr(np.random, "Philox",
+                        lambda *a, **kw: built.append(threading.current_thread()) or philox(*a, **kw))
+    sc = scenario(cfg=ArrayConfig(M=(11, 13, 17, 19, 23), K=(8,) * 5), snr_db=10.0, seed=3)
+    reference = estimate_doa(sc).theta_hat
+    counts = []
+
+    def two_trials():
+        for _ in range(2):
+            before = len(built)
+            assert estimate_doa(sc).theta_hat == reference
+            counts.append(built[before:])
+
+    thread = threading.Thread(target=two_trials)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    first, second = counts
+    assert first.count(thread) == 1
+    assert thread not in second
+    before = len(built)
+    estimate_doa(sc)
+    assert threading.current_thread() not in built[before:]
+    assert len(set(built)) == len(built)
 
 
 def test_memoised_group_constants_are_read_only_and_shared():
