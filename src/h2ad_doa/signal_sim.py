@@ -28,24 +28,26 @@ group's amplitude and virtual steering vector depend on the array and
 cell, so :func:`_group_constants` memoises them in a bounded cache of
 read-only arrays; a first trial, or a one-shot estimate, fills an entry.
 
-The groups' blocks are drawn in parallel.  Drawing the normals and the
-block arithmetic (and the covariance ``group_candidates`` asks for) run in
-numpy and BLAS with the GIL released, so :func:`simulate_groups` draws the
-emitter waveform in the calling thread, then splits the groups into
-``min(groups, CPUs) - 1`` shares for a pool of threads and one for itself,
-balanced by block size ``K_q * T``; CPUs are those of
-``os.sched_getaffinity(0)`` (``os.cpu_count()`` where a platform has no
-affinity mask).  With one CPU, or one group, no thread is started.  Since every block comes from its own stream, the bits do not
-depend on the split.  Each pool share runs in a copy of the caller's
-``contextvars`` context, so a caller's ``np.errstate`` holds there.  The
-pool is built on first use, bounded by the CPU count less one, and
-dropped in a forked child, which builds its own.
+Large blocks are drawn in parallel.  Drawing the normals and the
+covariance ``group_candidates`` asks for run in numpy and BLAS with the
+GIL released, so :func:`simulate_groups` draws the emitter waveform in the
+calling thread and, if the blocks average at least ``FAN_OUT_MIN_BLOCK``
+samples ``K_q * T`` (K_q = 64 at T = 200 does, K_q = 16 does not), deals
+the groups round robin into ``n = min(groups, CPUs)`` shares: the calling
+thread draws groups ``0, n, 2n, ...`` and ``n - 1`` pool threads the
+others.  CPUs are those of ``os.sched_getaffinity(0)`` (``os.cpu_count()``
+where a platform has no affinity mask).  With one CPU, one group or
+smaller blocks, no thread is started.  Since every block comes from its
+own stream, the bits do not depend on the split.  Each pool share runs
+under the caller's floating-point error settings (``np.geterr``,
+``np.geterrcall``), so a caller's ``np.errstate`` or ``np.seterr`` holds
+there on numpy 1 and 2 alike.  The pool is built on first use, bounded by
+the CPU count less one, and dropped in a forked child, which builds its
+own.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
 import functools
 import math
 import os
@@ -80,6 +82,15 @@ _ZERO_WORDS.flags.writeable = False
 #: ``(ArrayConfig, theta0)`` entries kept by :func:`_group_constants`.  A
 #: sweep or dataset cell reuses one entry for all its trials.
 GROUP_CONSTANTS_CACHE_SIZE = 128
+
+#: Smallest mean block size ``K_q * T``, in samples, at which
+#: :func:`simulate_groups` draws the groups across threads.  Below it the
+#: hand-offs to and from a pool thread (about 80 us on a 2-vCPU VM) and
+#: the GIL hand-offs between the tasks' small numpy calls cost more than
+#: the draws they move: with the fan-out, the benchmark's median trial on
+#: 2 vCPUs ran 7% slower at ``K_q * T = 1600`` and 2% slower at 3200, and
+#: 13% faster at 12800.
+FAN_OUT_MIN_BLOCK = 8192
 
 #: Holds each thread's Philox as ``philox`` (:func:`_generator`).
 _local = threading.local()
@@ -244,20 +255,11 @@ def _generator(seed: int, stream_id: int) -> np.random.Generator:
     return _rekeyed(bitgen, seed, stream_id)
 
 
-def _shares(work: Sequence[int], n: int) -> list[list[int]]:
-    """Positions of ``work`` split into ``n`` shares of about equal total
-    work: largest first, each to the least loaded share (the first on a
-    tie).  Each share lists its positions in ascending order."""
-    loads = [0] * n
-    shares: list[list[int]] = [[] for _ in range(n)]
-    for i in sorted(range(len(work)), key=lambda i: -work[i]):
-        s = loads.index(min(loads))
-        shares[s].append(i)
-        loads[s] += work[i]
-    return [sorted(share) for share in shares]
-
-
 def _thread_pool() -> concurrent.futures.ThreadPoolExecutor:
+    # imported here, not at the top: it costs about 8 ms (most of it
+    # ``logging``), which a process drawing only small blocks never needs
+    import concurrent.futures
+
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -268,22 +270,23 @@ def _thread_pool() -> concurrent.futures.ThreadPoolExecutor:
         return _pool
 
 
-def _fan_out(task: Callable[[Any], Any], args: Sequence, work: Sequence[int]) -> list:
-    """``[task(a) for a in args]``, split by ``work`` into one share for
+def _fan_out(task: Callable[[Any], Any], args: Sequence) -> list:
+    """``[task(a) for a in args]``, dealt round robin into one share for
     the calling thread and ``min(len(args), CPUs) - 1`` for the pool.
 
-    Each pool share runs in a copy of the caller's context.  A share stops
-    at its first exception; once every share is done, the exception of the
-    first failing argument is raised, which is the one a serial loop
-    would raise.
+    Each pool share runs under the caller's ``np.geterr`` and
+    ``np.geterrcall``.  A share stops at its first exception; once every
+    share is done, the exception of the first failing argument is raised,
+    which is the one a serial loop would raise.
     """
     n = min(len(args), _cpus())
     if n < 2:
         return [task(a) for a in args]
     results: list = [None] * len(args)
     failed: dict[int, Exception] = {}
+    call, errors = np.geterrcall(), np.geterr()
 
-    def run(share: list[int]) -> None:
+    def run(share: range) -> None:
         for i in share:
             try:
                 results[i] = task(args[i])
@@ -291,10 +294,13 @@ def _fan_out(task: Callable[[Any], Any], args: Sequence, work: Sequence[int]) ->
                 failed[i] = err
                 return
 
-    first, *rest = _shares(work, n)
+    def pooled(share: range) -> None:
+        with np.errstate(call=call, **errors):
+            run(share)
+
     pool = _thread_pool()
-    futures = [pool.submit(contextvars.copy_context().run, run, share) for share in rest]
-    run(first)
+    futures = [pool.submit(pooled, range(s, len(args), n)) for s in range(1, n)]
+    run(range(0, len(args), n))
     for future in futures:
         future.result()
     if failed:
@@ -332,10 +338,11 @@ def simulate_groups(
     """Simulate the snapshot blocks of ``groups`` (default: all, in order).
 
     The shared emitter waveform is drawn once for all of them, then the
-    blocks are drawn across threads (see the module notes).  Each block
-    is deterministic given ``(scenario.seed, q)``.  ``reduce``, if given,
-    maps each block to what is returned in its place, in the thread that
-    drew it: ``group_candidates`` passes ``sample_covariance``.
+    blocks are drawn in the calling thread or, if they average at least
+    ``FAN_OUT_MIN_BLOCK`` samples, across threads (see the module notes).
+    Each block is deterministic given ``(scenario.seed, q)``.  ``reduce``,
+    if given, maps each block to what is returned in its place, in the
+    thread that drew it: ``group_candidates`` passes ``sample_covariance``.
 
     Returns
     -------
@@ -362,7 +369,10 @@ def simulate_groups(
         block = GroupSnapshots(group_index=q, data=data)
         return block if reduce is None else reduce(block)
 
-    return tuple(_fan_out(draw, groups, [scenario.cfg.K[q] for q in groups]))
+    samples = scenario.snapshots * sum(scenario.cfg.K[q] for q in groups)
+    if samples < FAN_OUT_MIN_BLOCK * len(groups):
+        return tuple(map(draw, groups))
+    return tuple(_fan_out(draw, groups))
 
 
 @functools.lru_cache(maxsize=GROUP_CONSTANTS_CACHE_SIZE)

@@ -617,13 +617,7 @@ def enumerate_candidates(phase_hat: float, geom: GroupGeometry) -> CandidateSet:
     sines *= two_pi
     sines += phase_hat
     sines *= scale
-    # the sines ascend, so the ones within [-1, 1] (with tolerance) are one run
-    lo, hi, edge = 0, sines.size, 1.0 + 1e-12
-    while lo < hi and not abs(sines[lo]) <= edge:
-        lo += 1
-    while hi > lo and not abs(sines[hi - 1]) <= edge:
-        hi -= 1
-    sines = sines[lo:hi]
+    sines = sines[np.abs(sines) <= 1.0 + 1e-12]
     np.maximum(sines, -1.0, out=sines)  # np.clip's values, without its wrapper
     np.minimum(sines, 1.0, out=sines)
     if sines.size == geom.subarray_size + 1:

@@ -1,5 +1,5 @@
 """Test-only simulation oracles: the infinite-snapshot covariance,
-noise-only snapshot blocks, the large-``M_q`` closed-form CRLB, a masked
+noise-only snapshot blocks, the large-``M_q`` closed-form CRLB, an out-of-place
 candidate unfold and an uncached per-group chain of the whole estimate."""
 
 import math
@@ -88,8 +88,8 @@ def uncached_snapshots(scenario, q):
 
 
 def masked_candidates(phase_hat, geom):
-    """``enumerate_candidates(phase_hat, geom).angles`` with a mask over
-    every alias and ``np.clip``."""
+    """``enumerate_candidates(phase_hat, geom).angles`` with the sines
+    formed out of place and clamped by ``np.clip``."""
     scale = geom.wavelength / (2.0 * np.pi * geom.virtual_spacing)
     two_pi = 2.0 * np.pi
     j_lo = math.ceil((-1.0 / scale - phase_hat) / two_pi - 1e-12)

@@ -415,6 +415,7 @@ def test_draw_task_exception_is_the_first_failing_groups(monkeypatch, raising, l
     # the blocks are drawn across threads, yet a covariance that raises
     # surfaces as the serial loop's would: the lowest failing group's,
     # unwrapped and after one pass
+    monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
     real = fusion.sample_covariance
 
     def covariance(snap):
@@ -431,6 +432,7 @@ def test_draw_task_exception_is_the_first_failing_groups(monkeypatch, raising, l
 def test_caller_errstate_holds_in_every_draw_task(monkeypatch, over):
     # np.errstate is context-local: each group's covariance, whichever
     # thread forms it, overflows under the caller's setting
+    monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
     real = fusion.sample_covariance
     seen = {}
 
@@ -453,9 +455,10 @@ def test_caller_errstate_holds_in_every_draw_task(monkeypatch, over):
         assert sorted(seen) == [0, 1, 2]
 
 
-def test_concurrent_callers_get_the_serial_bits():
+def test_concurrent_callers_get_the_serial_bits(monkeypatch):
     # more calling threads than cores, switching often, share the pool and
     # must each see the bits of one serial pass
+    monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
     scenarios = [
         (scenario(cfg=ArrayConfig(M=M, K=K), snr_db=snr, seed=seed), method)
         for seed, (M, K, snr, method) in enumerate(
@@ -485,9 +488,10 @@ def test_concurrent_callers_get_the_serial_bits():
         assert got[i] == serial[i:] + serial[:i]
 
 
-def test_forked_child_estimates_the_parents_bits():
+def test_forked_child_estimates_the_parents_bits(monkeypatch):
     # the child has none of the parent's pool threads; it must build its
     # own rather than wait on them
+    monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
     sc = scenario(snr_db=10.0, seed=7)
     expected = np.float64(estimate_doa(sc).theta_hat).tobytes()
     if signal_sim._cpus() > 1:
