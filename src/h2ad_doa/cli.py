@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import mbdnn
 from .array_model import ConfigError, load_config
 from .fusion import fuse_candidates, group_candidates
-from .signal_sim import SimScenario, simulate_groups, write_snapshots
+from .signal_sim import SimScenario, simulate_groups
 
 
 def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
@@ -55,8 +55,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     for snap in simulate_groups(_scenario(args)):
-        path = f"{args.out}.group{snap.group_index}.snap"
-        write_snapshots(snap, path)
+        path = f"{args.out}.group{snap.group_index}.npy"
+        np.save(path, snap.data)
         print(f"wrote {path} ({snap.num_subarrays}x{snap.snapshots})")
     return 0
 

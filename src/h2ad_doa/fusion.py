@@ -1,18 +1,17 @@
 """Cross-group fusion: true-tuple selection and CRLB-weighted combining.
 
-:func:`group_candidates` is the per-group front end every caller shares
-(``estimate_doa``, the CLI, ``run_sweep`` and ``generate_dataset``).  It
-makes one stacked pass per trial: the emitter waveform is drawn once,
-each group's covariance comes from its own (K_q, T) snapshot block, and
-the groups are split into classes of equal ``K_q``.  The blocks and their
-covariances are formed by the calling thread and, with more than one CPU,
-a bounded thread pool (:func:`~h2ad_doa.signal_sim.simulate_groups`); all
-that follows runs in the calling thread.  Each class runs one
-stacked eigensolve, one stacked polynomial build and, below ``K_q = 18``,
-one stacked companion rooting (see :mod:`h2ad_doa.subspace`).  The
-candidate sets equal the per-group chain's bit for bit.  If a stack
-fails, the same pass runs again with one group per stack, in group
-order, so a failure names the same group and cause as the chain.
+:func:`candidates_from_covariances` is the front end on data: one
+covariance per group, simulated or recorded, split into classes of equal
+``K_q``, each class through one stacked eigensolve, polynomial build and,
+below ``K_q = 18``, companion rooting (see :mod:`h2ad_doa.subspace`).
+:func:`group_candidates` feeds it one simulated trial, drawn once, its
+blocks and covariances formed by the calling thread and, with more than
+one CPU, a bounded thread pool (:func:`~h2ad_doa.signal_sim.simulate_groups`);
+every caller (``estimate_doa``, the CLI, ``run_sweep`` and
+``generate_dataset``) goes through it.  The candidate sets equal the
+per-group chain's bit for bit.  If a stack fails, the same covariances
+are rooted again one group per stack, in group order, so a failure names
+the same group and cause as the chain without drawing the trial again.
 
 Coprime subarray sizes guarantee the groups' candidate sets intersect in
 exactly one angle.  With noise the common angle spreads into a tight
@@ -267,40 +266,37 @@ def fused_crlb(
     return CrlbReport(per_group=per_group, fused_bound=float(fused))
 
 
-def group_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
-    """Run the per-group front end: simulate, covariance, root, unfold.
+def candidates_from_covariances(
+    cfg: ArrayConfig, covs: Sequence[np.ndarray]
+) -> tuple[CandidateSet, ...]:
+    """Root and unfold one (K_q, K_q) covariance per group, in group order.
 
-    One stacked pass per trial: the emitter waveform is drawn once, each
-    group's covariance is formed from its own snapshot block in the thread
-    that drew it (:func:`~h2ad_doa.signal_sim.simulate_groups` splits the
-    groups over the calling thread and up to ``min(Q, CPUs) - 1`` pool
-    threads; with one CPU it starts none), and the groups that share a
-    ``K_q`` go through :func:`noise_subspaces` and
-    :func:`root_music_phases` together.  Every candidate set equals the
-    one the per-group chain (:func:`~h2ad_doa.signal_sim.simulate_group`,
-    :func:`sample_covariance`, :func:`~h2ad_doa.subspace.noise_subspace`,
-    :func:`~h2ad_doa.subspace.root_music_phase`) gives, bit for bit.
-
-    If a stack fails, the pass runs again with one group per stack, in
+    ``covs`` may be simulated, or recorded blocks through
+    :class:`~h2ad_doa.signal_sim.GroupSnapshots` and
+    :func:`sample_covariance`.  The groups that share a ``K_q`` go through
+    :func:`noise_subspaces` and :func:`root_music_phases` together; every
+    candidate set equals the per-group chain's bit for bit.  If a stack
+    fails, the same covariances are rooted again one group per stack, in
     group order, so the :class:`GroupFailureError` that aborts the trial
-    names the first failing group and carries the chain's cause.
+    names the first failing group and carries the chain's cause.  Any
+    other ``covs`` raises ``ValueError``.
     """
+    shapes = tuple(getattr(c, "shape", None) for c in covs)
+    if shapes != tuple((k, k) for k in cfg.K):
+        raise ValueError(f"need one (K_q, K_q) covariance per group of K={cfg.K}, got {shapes}")
     classes: dict[int, list[int]] = {}
-    for q, k in enumerate(scenario.cfg.K):
+    for q, k in enumerate(cfg.K):
         classes.setdefault(k, []).append(q)
     try:
-        return _candidates(scenario, classes.values())
+        phases = _phases(covs, classes.values())
     except GroupFailureError:
-        return _candidates(scenario, [[q] for q in range(scenario.cfg.num_groups)])
+        phases = _phases(covs, [[q] for q in range(cfg.num_groups)])
+    return tuple(enumerate_candidates(phases[q], cfg.group(q)) for q in range(cfg.num_groups))
 
 
-def _candidates(
-    scenario: SimScenario, stacks: Iterable[list[int]]
-) -> tuple[CandidateSet, ...]:
-    """One front-end pass; a failing stack is named by its first member."""
-    cfg = scenario.cfg
-    covs = simulate_groups(scenario, reduce=sample_covariance)
-    phases = [0.0] * cfg.num_groups
+def _phases(covs: Sequence[np.ndarray], stacks: Iterable[list[int]]) -> list[float]:
+    """One rooting pass; a failing stack is named by its first member."""
+    phases = [0.0] * len(covs)
     for members in stacks:
         try:
             stack = noise_subspaces(np.stack([covs[q] for q in members]))
@@ -308,7 +304,23 @@ def _candidates(
                 phases[q] = phase
         except (ValueError, RuntimeError) as err:
             raise GroupFailureError(members[0], err) from err
-    return tuple(enumerate_candidates(phases[q], cfg.group(q)) for q in range(cfg.num_groups))
+    return phases
+
+
+def group_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
+    """Run the per-group front end: simulate, covariance, root, unfold.
+
+    The trial is drawn once: :func:`~h2ad_doa.signal_sim.simulate_groups`
+    forms each group's covariance in the thread that drew its block (the
+    calling thread and up to ``min(Q, CPUs) - 1`` pool threads), and
+    :func:`candidates_from_covariances` roots them.  Every candidate set
+    equals the per-group chain's (:func:`~h2ad_doa.signal_sim.simulate_group`,
+    :func:`sample_covariance`, :func:`~h2ad_doa.subspace.noise_subspace`,
+    :func:`~h2ad_doa.subspace.root_music_phase`) bit for bit.
+    """
+    return candidates_from_covariances(
+        scenario.cfg, simulate_groups(scenario, reduce=sample_covariance)
+    )
 
 
 def fuse_candidates(

@@ -17,6 +17,14 @@ on the order groups are simulated in.  :func:`simulate_groups` draws the
 waveform once for all the groups of a trial; :func:`simulate_group` is its
 one-group case and gives the same bytes.
 
+Recorded blocks enter as data: ``h2ad-doa simulate`` saves each block
+with ``np.save``, ``GroupSnapshots(q, np.load(path))`` wraps one again,
+and :func:`sample_covariance` of each group feeds
+:func:`~h2ad_doa.fusion.candidates_from_covariances`, the front end that
+a simulated trial goes through as well.  If a stack fails there, it roots
+the same covariances again one group at a time, so a trial is drawn once,
+failing or not.
+
 Each thread keeps one Philox bit generator for every stream it draws,
 re-keyed for each ``(seed, stream)`` by setting its ``state`` to the one
 ``Philox(key=...)`` starts in (:func:`_rekeyed`): the same stream bit for
@@ -48,10 +56,10 @@ own.
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
 import math
 import os
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -65,10 +73,6 @@ from .array_model import (
     gain_coefficient,
     virtual_steering,
 )
-
-SNAPSHOT_MAGIC = b"H2AD-SNAP"
-SNAPSHOT_VERSION = 1
-_HEADER = struct.Struct("<9sHIIQ")  # magic, version, group, K, T
 
 #: Stream index reserved for the emitter waveform (groups use their own index).
 _EMITTER_STREAM = 0xFFFF_FFFF_FFFF_FFFF
@@ -117,10 +121,6 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
-
-
-class SnapshotFormatError(IOError):
-    """A snapshot file that cannot be parsed."""
 
 
 #: Largest finite ``|snr_db|`` accepted.  From about +3000 dB the exact
@@ -256,10 +256,6 @@ def _generator(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def _thread_pool() -> concurrent.futures.ThreadPoolExecutor:
-    # imported here, not at the top: it costs about 8 ms (most of it
-    # ``logging``), which a process drawing only small blocks never needs
-    import concurrent.futures
-
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -405,44 +401,3 @@ def sample_covariance(snap: GroupSnapshots) -> np.ndarray:
     r += r.conj().T
     r /= 2.0
     return r
-
-
-def write_snapshots(snap: GroupSnapshots, path) -> None:
-    """Write one group's snapshots in the binary snapshot format.
-
-    Layout: magic ``H2AD-SNAP``, u16 version, u32 group index, u32 K_q,
-    u64 T, then K_q*T row-major complex samples as interleaved
-    (re, im) float64 pairs.
-    """
-    header = _HEADER.pack(
-        SNAPSHOT_MAGIC,
-        SNAPSHOT_VERSION,
-        snap.group_index,
-        snap.num_subarrays,
-        snap.snapshots,
-    )
-    payload = np.ascontiguousarray(snap.data, dtype=np.complex128)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-
-
-def read_snapshots(path) -> GroupSnapshots:
-    """Read a snapshot file written by :func:`write_snapshots`."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise SnapshotFormatError(f"{path}: truncated header")
-    magic, version, q, num_k, num_t = _HEADER.unpack_from(blob)
-    if magic != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"{path}: bad magic {magic!r}")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotFormatError(f"{path}: unsupported version {version}")
-    expected = num_k * num_t * 16
-    payload = blob[_HEADER.size:]
-    if len(payload) != expected:
-        raise SnapshotFormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
-        )
-    data = np.frombuffer(payload, dtype=np.complex128).reshape(num_k, num_t)
-    return GroupSnapshots(group_index=q, data=data.copy())

@@ -17,6 +17,7 @@ from h2ad_doa.fusion import (
     AngleOutOfGuardError,
     GroupFailureError,
     NonPositiveCrlbError,
+    candidates_from_covariances,
     crlb_group_exact,
     estimate_doa,
     fuse,
@@ -373,8 +374,9 @@ def broken_covariance(k, kind):
 ], ids=["degenerate-g2", "degenerate-g0-g2", "nan-g1", "roots-g0-nan-g2",
         "ragged-nan-g1", "ragged-roots-g1", "k20-degenerate-g1"])
 def test_stacked_failure_names_first_failing_group(monkeypatch, k, broken, label, cause):
-    # a failure anywhere in a stack reruns the groups one at a time, so
-    # the label and cause are those of the per-group chain
+    # a failure anywhere in a stack re-roots the same covariances one group
+    # at a time, so the label and cause are those of the per-group chain,
+    # and the trial is drawn once: one simulate pass, one emitter draw
     real = fusion.sample_covariance
 
     def covariance(snap):
@@ -385,11 +387,33 @@ def test_stacked_failure_names_first_failing_group(monkeypatch, k, broken, label
     sc = scenario(cfg=ArrayConfig(M=(7, 11, 13), K=k), snr_db=10.0)
     q, err = chained_candidates(sc, covariance)
     assert (q, type(err)) == (label, cause)
+    passes, draws = [], []
+    simulate, draw = fusion.simulate_groups, signal_sim.emitter_waveform
+    monkeypatch.setattr(fusion, "simulate_groups",
+                        lambda sc, **kw: passes.append(sc) or simulate(sc, **kw))
+    monkeypatch.setattr(signal_sim, "emitter_waveform", lambda sc: draws.append(sc) or draw(sc))
     with pytest.raises(GroupFailureError) as info:
         group_candidates(sc)
     assert info.value.group_index == label
     assert type(info.value.__cause__) is cause
     assert str(info.value.__cause__) == str(err)
+    assert (len(passes), len(draws)) == (1, 1)
+
+
+EYE16 = np.eye(16, dtype=complex)
+
+
+@pytest.mark.parametrize("covs", [
+    [EYE16] * 2,
+    [EYE16] * 4,
+    [EYE16, np.eye(15, dtype=complex), EYE16],
+    [EYE16, EYE16, np.eye(16, 17, dtype=complex)],
+    [EYE16, EYE16, EYE16[None]],
+    [EYE16.tolist()] * 3,
+], ids=["two-groups", "four-groups", "k15-g1", "non-square-g2", "stacked-g2", "lists"])
+def test_candidates_from_covariances_refuses_wrong_shapes(covs):
+    with pytest.raises(ValueError, match="covariance per group"):
+        candidates_from_covariances(BASE_CFG, covs)
 
 
 def test_other_exceptions_propagate_after_one_pass(monkeypatch):

@@ -3,6 +3,7 @@ import importlib
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -104,3 +105,21 @@ def test_runtime_imports_only_numpy_and_stdlib():
     allowed = set(sys.stdlib_module_names) | {"numpy", "h2ad_doa"}
     assert "numpy" in {m for _, m in imports}
     assert [f"{f}: {m}" for f, m in imports if m not in allowed] == []
+
+
+def test_annotations_resolve():
+    # Tools that read annotations (``typing.get_type_hints``, which
+    # ``bench.parse_csv`` relies on) fail on any name an annotation uses
+    # that its module does not bind.
+    unresolved = []
+    for path in sorted((ROOT / "src" / "h2ad_doa").glob("*.py")):
+        name = "h2ad_doa" if path.stem == "__init__" else f"h2ad_doa.{path.stem}"
+        module = importlib.import_module(name)
+        defined = [obj for obj in vars(module).values()
+                   if callable(obj) and getattr(obj, "__module__", None) == name]
+        for obj in [module, *defined]:
+            try:
+                typing.get_type_hints(obj)
+            except Exception as err:  # reported all at once below
+                unresolved.append(f"{name}.{getattr(obj, '__qualname__', '')}: {err!r}")
+    assert unresolved == []

@@ -1,5 +1,4 @@
 import math
-import struct
 import threading
 
 import numpy as np
@@ -13,16 +12,12 @@ from h2ad_doa.fusion import estimate_doa
 from h2ad_doa.signal_sim import (
     _EMITTER_STREAM,
     GROUP_CONSTANTS_CACHE_SIZE,
-    GroupSnapshots,
     SimScenario,
-    SnapshotFormatError,
     derive_seed,
     emitter_waveform,
-    read_snapshots,
     sample_covariance,
     simulate_group,
     simulate_groups,
-    write_snapshots,
     _rekeyed,
     _stream,
 )
@@ -305,69 +300,3 @@ def test_sample_covariance_converges_to_exact():
         errs[t] = np.linalg.norm(sample_covariance(simulate_group(sc, 0)) - target)
     # Frobenius error shrinks like 1/sqrt(T); demand at least half the ideal
     assert errs[100] / errs[4000] > math.sqrt(40) / 2
-
-
-def test_snapshot_file_round_trip(tmp_path):
-    snap = simulate_group(scenario(), 1)
-    path = tmp_path / "g1.snap"
-    write_snapshots(snap, path)
-    back = read_snapshots(path)
-    assert back.group_index == 1
-    assert np.array_equal(back.data, snap.data)
-    assert back.data.dtype == np.complex128
-
-
-def test_snapshot_bad_magic(tmp_path):
-    path = tmp_path / "g.snap"
-    write_snapshots(simulate_group(scenario(), 0), path)
-    raw = bytearray(path.read_bytes())
-    raw[:4] = b"XXXX"
-    path.write_bytes(bytes(raw))
-    with pytest.raises(SnapshotFormatError):
-        read_snapshots(path)
-
-
-def test_snapshot_unsupported_version(tmp_path):
-    path = tmp_path / "g.snap"
-    write_snapshots(simulate_group(scenario(), 0), path)
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<H", raw, 9, 2)  # the version follows the 9-byte magic
-    path.write_bytes(bytes(raw))
-    with pytest.raises(SnapshotFormatError, match="unsupported version 2"):
-        read_snapshots(path)
-
-
-def test_snapshot_truncated(tmp_path):
-    path = tmp_path / "g.snap"
-    write_snapshots(simulate_group(scenario(), 0), path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) - 13])
-    with pytest.raises(SnapshotFormatError):
-        read_snapshots(path)
-
-
-@settings(max_examples=40, deadline=None)
-@given(group=st.integers(0, 2**32 - 1), k=st.integers(1, 4), t=st.integers(1, 6),
-       data=st.data())
-def test_snapshot_file_round_trip_and_every_cut(tmp_path_factory, group, k, t, data):
-    # any bit pattern, NaN payloads included, comes back bit for bit; a
-    # file cut at any length is refused
-    raw = data.draw(st.binary(min_size=16 * k * t, max_size=16 * k * t))
-    snap = GroupSnapshots(group, np.frombuffer(raw, np.complex128).reshape(k, t))
-    path = tmp_path_factory.mktemp("snap") / "g.snap"
-    write_snapshots(snap, path)
-    blob = path.read_bytes()
-    back = read_snapshots(path)
-    assert back.group_index == group and back.data.tobytes() == raw
-    for n in range(len(blob)):
-        path.write_bytes(blob[:n])
-        with pytest.raises(SnapshotFormatError):
-            read_snapshots(path)
-
-
-def test_snapshot_trailing_garbage(tmp_path):
-    path = tmp_path / "g.snap"
-    write_snapshots(simulate_group(scenario(), 0), path)
-    path.write_bytes(path.read_bytes() + b"\x00" * 8)
-    with pytest.raises(SnapshotFormatError):
-        read_snapshots(path)
