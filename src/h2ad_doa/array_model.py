@@ -46,6 +46,15 @@ def check_integer(field: str, value) -> None:
         raise ConfigError(f"{field}={value!r} must be an integer")
 
 
+def check_real(field: str, value) -> None:
+    """Raise ``ConfigError`` naming ``field`` unless ``value`` is a Python or
+    numpy real number, or a 0-d array of one; bools, complex numbers,
+    strings and None are refused."""
+    scalar = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
+    if isinstance(scalar, bool) or not isinstance(scalar, numbers.Real):
+        raise ConfigError(f"{field}={value!r} must be a real number")
+
+
 class NonCoprimeError(ConfigError):
     """Two subarray sizes share a common factor."""
 

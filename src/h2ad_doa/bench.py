@@ -167,7 +167,7 @@ def run_sweep(spec: BenchSpec) -> list[ResultRow]:
                     if method == "mbdnn":
                         estimates[i].append(predict_doa(model, sets))
                     else:
-                        est = fuse_candidates(scenario, sets, method)
+                        est = fuse_candidates(cfg, sets, method, snr, snapshots)
                         estimates[i].append(math.degrees(est.theta_hat))
                 except TRIAL_ERRORS:
                     pass  # counted in the failures column

@@ -63,9 +63,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     scenario = _scenario(args)
-    sets = group_candidates(scenario)
-    ratio = fuse_candidates(scenario, sets, "crlb_ratio")
-    exact = fuse_candidates(scenario, sets, "exact_crlb")
+    cfg, sets = scenario.cfg, group_candidates(scenario)
+    ratio = fuse_candidates(cfg, sets, "crlb_ratio")
+    exact = fuse_candidates(cfg, sets, "exact_crlb", scenario.snr_db, scenario.snapshots)
     result = {
         "candidates_deg": {
             str(cs.group_index): [float(v) for v in np.degrees(cs.angles)]

@@ -19,10 +19,13 @@ cluster, so the true tuple is recovered as the one combination (one
 candidate per group) of minimum within-tuple dispersion.  That minimum is
 found by a sweep over the ``sum(M_q)`` cells between the groups' candidate
 midpoints, never by listing all ``prod(M_q)`` combinations.  The members
-are then averaged with inverse-CRLB weights, either from the exact
-per-group bound evaluated at a plug-in angle or from the closed-form
-``M_q^2`` ratio that needs only the subarray sizes.  That back half is
-:func:`fuse_candidates`, which every weighted estimate goes through.
+are then averaged with inverse-CRLB weights, either from the closed-form
+``M_q^2`` ratio that needs only the subarray sizes or from the exact
+per-group bound evaluated at a plug-in angle under a nominal SNR and
+snapshot count.  That back half is :func:`fuse_candidates`, which takes
+the config, the candidate sets and, for the exact bound only, the
+operating point, so sets from recorded covariances go through it as
+simulated ones do; every weighted estimate goes through it.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig, gain_coefficient, position_weighted_gain
+from .array_model import ArrayConfig, check_real, gain_coefficient, position_weighted_gain
 from .signal_sim import (
     SimScenario,
     check_operating_point,
@@ -106,10 +109,11 @@ class CrlbReport:
 
 @dataclass(frozen=True)
 class FusedEstimate:
-    """Output of the full pipeline for one trial.
+    """Output of :func:`fuse_candidates` for one set of candidates per group.
 
     ``weights`` holds the convex fusion weights in group order; ``crlb`` is
-    the report behind ``exact_crlb`` weights, None for ``crlb_ratio``.
+    the report behind ``exact_crlb`` weights, at the nominal SNR and
+    snapshot count the back end was given, None for ``crlb_ratio``.
     """
 
     theta_hat: float
@@ -179,6 +183,7 @@ def select_true_tuple(sets: Sequence) -> TrueTuple:
 
 
 def _guard_angle(theta0: float) -> None:
+    check_real("theta0", theta0)
     if not abs(theta0) < ANGLE_GUARD:
         raise AngleOutOfGuardError(theta0)
 
@@ -192,8 +197,9 @@ def crlb_group_exact(
     (radians) and per-element SNR ``snr_db``, with the snapshot count as
     the observation length.  Valid for ``|theta0|`` under the 70 degree
     guard; beyond it the bound's small-error assumptions are off.
-    ``snapshots < 1`` and an SNR that is NaN, ``-inf`` or finite beyond
-    ``SNR_DB_LIMIT`` in magnitude raise ``ConfigError``.
+    An angle or SNR that is not a real number, ``snapshots < 1`` and an
+    SNR that is NaN, ``-inf`` or finite beyond ``SNR_DB_LIMIT`` in
+    magnitude raise ``ConfigError``.
     """
     check_operating_point(snr_db, snapshots)
     _guard_angle(theta0)
@@ -279,7 +285,9 @@ def candidates_from_covariances(
     fails, the same covariances are rooted again one group per stack, in
     group order, so the :class:`GroupFailureError` that aborts the trial
     names the first failing group and carries the chain's cause.  Any
-    other ``covs`` raises ``ValueError``.
+    other ``covs`` raises ``ValueError``: a shape other than ``(K_q, K_q)``,
+    a dtype that is not numeric, or a matrix that is not exactly Hermitian
+    (the eigensolvers read only its lower triangle).
     """
     shapes = tuple(getattr(c, "shape", None) for c in covs)
     if shapes != tuple((k, k) for k in cfg.K):
@@ -287,20 +295,36 @@ def candidates_from_covariances(
     classes: dict[int, list[int]] = {}
     for q, k in enumerate(cfg.K):
         classes.setdefault(k, []).append(q)
+    stacks = [(members, np.stack([covs[q] for q in members])) for members in classes.values()]
+    for members, stack in stacks:
+        _check_hermitian(members, stack)
     try:
-        phases = _phases(covs, classes.values())
+        phases = _phases(stacks)
     except GroupFailureError:
-        phases = _phases(covs, [[q] for q in range(cfg.num_groups)])
+        phases = _phases([([q], np.stack([covs[q]])) for q in range(cfg.num_groups)])
     return tuple(enumerate_candidates(phases[q], cfg.group(q)) for q in range(cfg.num_groups))
 
 
-def _phases(covs: Sequence[np.ndarray], stacks: Iterable[list[int]]) -> list[float]:
+def _check_hermitian(members: list[int], stack: np.ndarray) -> None:
+    """Refuse a stack that is not numeric, or the first member that is not
+    exactly Hermitian."""
+    if not np.issubdtype(stack.dtype, np.number):
+        raise ValueError(f"need one numeric covariance per group, got dtype {stack.dtype}")
+    mirror = stack.conj().swapaxes(1, 2)
+    if (stack == mirror).all():
+        return
+    for q, cov, conj_t in zip(members, stack, mirror):
+        # NaN entries mirrored in place are left for the rooting to refuse
+        if not np.array_equal(cov, conj_t, equal_nan=True):
+            raise ValueError(f"need one Hermitian covariance per group; group {q} is not")
+
+
+def _phases(stacks: Iterable[tuple[list[int], np.ndarray]]) -> dict[int, float]:
     """One rooting pass; a failing stack is named by its first member."""
-    phases = [0.0] * len(covs)
-    for members in stacks:
+    phases = {}
+    for members, stack in stacks:
         try:
-            stack = noise_subspaces(np.stack([covs[q] for q in members]))
-            for q, phase in zip(members, root_music_phases(stack)):
+            for q, phase in zip(members, root_music_phases(noise_subspaces(stack))):
                 phases[q] = phase
         except (ValueError, RuntimeError) as err:
             raise GroupFailureError(members[0], err) from err
@@ -324,25 +348,31 @@ def group_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
 
 
 def fuse_candidates(
-    scenario: SimScenario, sets: Sequence[CandidateSet], method: str = "crlb_ratio"
+    cfg: ArrayConfig,
+    sets: Sequence[CandidateSet],
+    method: str = "crlb_ratio",
+    snr_db: float | None = None,
+    snapshots: int | None = None,
 ) -> FusedEstimate:
     """Back end of the pipeline: select the true tuple, weight, fuse.
 
-    ``method`` picks the weighting: ``crlb_ratio`` uses the closed-form
-    subarray-size weights; ``exact_crlb`` evaluates the exact per-group
-    bound at the tuple mean (plug-in angle) under the scenario's nominal
-    SNR, then weights by inverse CRLB.
+    ``sets`` holds one candidate set per group of ``cfg``, simulated
+    (:func:`group_candidates`) or from recorded covariances
+    (:func:`candidates_from_covariances`).  ``method`` picks the
+    weighting: ``crlb_ratio`` uses the closed-form subarray-size weights
+    and reads nothing but ``cfg``; ``exact_crlb`` evaluates the exact
+    per-group bound at the tuple mean (plug-in angle) under the nominal
+    ``snr_db`` and ``snapshots``, then weights by inverse CRLB.  Without
+    them, ``exact_crlb`` raises ``ConfigError`` (:func:`fused_crlb`).
     """
     if method not in WEIGHTING_METHODS:
         raise ValueError(f"unknown weighting method {method!r}")
     selected = select_true_tuple(sets)
     report = None
     if method == "crlb_ratio":
-        weights = weights_crlb_ratio(scenario.cfg)
+        weights = weights_crlb_ratio(cfg)
     else:
-        report = fused_crlb(
-            scenario.cfg, selected.mean, scenario.snr_db, scenario.snapshots
-        )
+        report = fused_crlb(cfg, selected.mean, snr_db, snapshots)
         weights = weights_exact(report.per_group)
     return FusedEstimate(
         theta_hat=fuse(selected, weights),
@@ -354,5 +384,8 @@ def fuse_candidates(
 
 
 def estimate_doa(scenario: SimScenario, method: str = "crlb_ratio") -> FusedEstimate:
-    """Full pipeline: :func:`group_candidates`, then :func:`fuse_candidates`."""
-    return fuse_candidates(scenario, group_candidates(scenario), method)
+    """Full pipeline: :func:`group_candidates`, then :func:`fuse_candidates`
+    at the scenario's SNR and snapshot count."""
+    return fuse_candidates(
+        scenario.cfg, group_candidates(scenario), method, scenario.snr_db, scenario.snapshots
+    )

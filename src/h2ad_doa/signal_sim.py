@@ -70,6 +70,7 @@ from .array_model import (
     ArrayConfig,
     ConfigError,
     check_integer,
+    check_real,
     gain_coefficient,
     virtual_steering,
 )
@@ -131,8 +132,9 @@ SNR_DB_LIMIT = 1000.0
 def check_operating_point(snr_db: float, snapshots: int) -> None:
     """Reject a snapshot count that is not an integer
     (:func:`~h2ad_doa.array_model.check_integer`) or is below one, and an
-    SNR that is NaN, -inf or finite beyond ``SNR_DB_LIMIT`` in magnitude
-    (+inf is noiseless).
+    SNR that is not a real number (:func:`~h2ad_doa.array_model.check_real`)
+    or is NaN, -inf or finite beyond ``SNR_DB_LIMIT`` in magnitude (+inf is
+    noiseless).
 
     Raises
     ------
@@ -142,6 +144,7 @@ def check_operating_point(snr_db: float, snapshots: int) -> None:
     check_integer("snapshots", snapshots)
     if snapshots < 1:
         raise ConfigError(f"snapshots={snapshots} must be >= 1")
+    check_real("snr_db", snr_db)
     if not (snr_db == np.inf or abs(snr_db) <= SNR_DB_LIMIT):
         raise ConfigError(
             f"snr_db={snr_db} must be within +-{SNR_DB_LIMIT:g} dB or +inf"
@@ -153,7 +156,9 @@ class SimScenario:
     """One emitter/receiver configuration to simulate.
 
     Construction checks it with :meth:`validate`; ``snapshots`` and
-    ``seed`` must be integers (:func:`~h2ad_doa.array_model.check_integer`).
+    ``seed`` must be integers (:func:`~h2ad_doa.array_model.check_integer`),
+    ``theta0`` and ``snr_db`` real numbers, not bools
+    (:func:`~h2ad_doa.array_model.check_real`).
 
     Parameters
     ----------
@@ -186,6 +191,7 @@ class SimScenario:
 
     def validate(self) -> "SimScenario":
         check_integer("seed", self.seed)
+        check_real("theta0", self.theta0)
         if not abs(self.theta0) < np.pi / 2:
             raise ConfigError(
                 f"theta0={self.theta0} rad must satisfy |theta0| < pi/2"

@@ -1,16 +1,18 @@
 import json
 import math
+import re
 import struct
 import time
 import types
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from h2ad_doa import bench, fusion, mbdnn
+from h2ad_doa import bench, cli, fusion, mbdnn
 from h2ad_doa.array_model import ArrayConfig, ConfigError, save_config
 from h2ad_doa.bench import (
     CSV_HEADER,
@@ -25,10 +27,17 @@ from h2ad_doa.bench import (
     run_sweep,
 )
 from h2ad_doa.cli import cli_main
-from h2ad_doa.fusion import GroupFailureError, candidates_from_covariances, group_candidates
+from h2ad_doa.fusion import (
+    GroupFailureError,
+    candidates_from_covariances,
+    estimate_doa,
+    fuse_candidates,
+    group_candidates,
+)
 from h2ad_doa.signal_sim import GroupSnapshots, SimScenario, sample_covariance, simulate_groups
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def tiny_spec(**kw):
@@ -91,23 +100,35 @@ def test_run_sweep_deterministic_modulo_wall():
 
 
 def test_paired_seeding_across_methods(monkeypatch):
+    seeds = []
     seen = {"crlb_ratio": [], "exact_crlb": []}
+    front = bench.group_candidates
 
-    def recorder(scenario, sets, method):
-        seen[method].append(int(scenario.seed))
-        return types.SimpleNamespace(theta_hat=scenario.theta0)
+    def spy(scenario):
+        seeds.append(int(scenario.seed))
+        return front(scenario)
 
+    def recorder(cfg, sets, method, snr_db=None, snapshots=None):
+        seen[method].append((sets, snr_db, snapshots))
+        return types.SimpleNamespace(theta_hat=math.radians(41.0))
+
+    monkeypatch.setattr("h2ad_doa.bench.group_candidates", spy)
     monkeypatch.setattr("h2ad_doa.bench.fuse_candidates", recorder)
     run_sweep(tiny_spec(snr_grid=(0.0, 5.0), methods=("crlb_ratio", "exact_crlb")))
-    assert seen["crlb_ratio"] == seen["exact_crlb"]
-    assert len(seen["crlb_ratio"]) == 12
-    assert len(set(seen["crlb_ratio"])) == 12  # fresh seed per (cell, trial)
+    assert len(seen["crlb_ratio"]) == len(seen["exact_crlb"]) == 12
+    # each trial hands both methods the same candidate sets, at its cell's
+    # operating point
+    for ratio, exact in zip(seen["crlb_ratio"], seen["exact_crlb"]):
+        assert ratio[0] is exact[0]
+    assert [point for _, *point in seen["exact_crlb"]] == [[0.0, 64]] * 6 + [[5.0, 64]] * 6
+    assert len(seeds) == 12
+    assert len(set(seeds)) == 12  # fresh seed per (cell, trial)
 
 
 def test_failures_are_counted_not_imputed(monkeypatch):
     calls = {"n": 0}
 
-    def flaky(scenario, sets, method):
+    def flaky(cfg, sets, method, snr_db=None, snapshots=None):
         calls["n"] += 1
         if calls["n"] % 3 == 0:
             raise GroupFailureError(0, RuntimeError("synthetic"))
@@ -121,7 +142,7 @@ def test_failures_are_counted_not_imputed(monkeypatch):
 
 
 def test_all_failed_cell_reports_nan(monkeypatch):
-    def dead(scenario, sets, method):
+    def dead(cfg, sets, method, snr_db=None, snapshots=None):
         raise GroupFailureError(0, RuntimeError("synthetic"))
 
     monkeypatch.setattr("h2ad_doa.bench.fuse_candidates", dead)
@@ -441,11 +462,21 @@ def test_cli_simulate_writes_per_group_files(cfg_file, tmp_path, capsys):
         assert data.tobytes() == snap.data.tobytes()
 
 
+def _outcome(fn):
+    """A back end's estimate as bytes, or its exception as (type, message)."""
+    try:
+        est = fn()
+    except Exception as err:  # compared between the two paths
+        return type(err), str(err)
+    return (np.float64(est.theta_hat).tobytes(), est.weights.tobytes(),
+            est.selected.angles.tobytes(), est.crlb)
+
+
 @pytest.mark.parametrize("snr_db", [-5.0, 10.0, math.inf])
 def test_simulated_files_estimate_like_the_scenario(tmp_path, snr_db):
     # recorded blocks reach the estimator through the API: np.load,
-    # GroupSnapshots, sample_covariance, candidates_from_covariances;
-    # K_q = 20 takes the certified rooting path
+    # GroupSnapshots, sample_covariance, candidates_from_covariances, then
+    # the one back end; K_q = 20 takes the certified rooting path
     cfg = ArrayConfig(M=(7, 11, 13), K=(8, 20, 12))
     save_config(cfg, tmp_path / "cfg.json")
     out = str(tmp_path / "sim")
@@ -454,12 +485,48 @@ def test_simulated_files_estimate_like_the_scenario(tmp_path, snr_db):
     covs = [sample_covariance(GroupSnapshots(q, np.load(f"{out}.group{q}.npy")))
             for q in range(3)]
     sets = candidates_from_covariances(cfg, covs)
-    reference = group_candidates(SimScenario(cfg, math.radians(41.0), snr_db, 200, seed=4))
+    scenario = SimScenario(cfg, math.radians(41.0), snr_db, 200, seed=4)
+    reference = group_candidates(scenario)
     assert len(sets) == len(reference)
     for got, ref in zip(sets, reference):
         assert got.group_index == ref.group_index
         assert np.float64(got.phase_hat).tobytes() == np.float64(ref.phase_hat).tobytes()
         assert got.angles.tobytes() == ref.angles.tobytes()
+    # crlb_ratio from the config alone, exact_crlb given the scenario's SNR
+    # and T (noiseless, both refuse the zero bound alike)
+    ratio = _outcome(lambda: fuse_candidates(cfg, sets))
+    assert ratio == _outcome(lambda: estimate_doa(scenario, "crlb_ratio"))
+    assert isinstance(ratio[0], bytes)
+    exact = _outcome(lambda: fuse_candidates(cfg, sets, "exact_crlb", snr_db, 200))
+    assert exact == _outcome(lambda: estimate_doa(scenario, "exact_crlb"))
+    assert isinstance(exact[0], bytes) == math.isfinite(snr_db)
+    with pytest.raises(ConfigError, match="snr_db"):
+        fuse_candidates(cfg, sets, "exact_crlb", snapshots=200)
+    with pytest.raises(ConfigError):
+        fuse_candidates(cfg, sets, "exact_crlb")
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_readme_recorded_data_example_runs_as_written(tmp_path, monkeypatch):
+    # the README's recorded-data block, run on the files of its own
+    # `simulate` line with its own config, is estimate_doa bit for bit
+    (example,) = [b for b in _readme_blocks("python") if "np.load" in b]
+    (config,) = _readme_blocks("json")
+    (command,) = [line.split()[1:] for block in _readme_blocks("sh")
+                  for line in block.replace("\\\n", " ").splitlines()
+                  if line.startswith("h2ad-doa simulate")]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "arrays.json").write_text(config)
+    (tmp_path / "snaps").mkdir()
+    assert cli_main(command) == 0
+    namespace = {}
+    exec(example, namespace)
+    scenario = cli._scenario(cli.build_parser().parse_args(command))
+    expected = estimate_doa(scenario, "crlb_ratio").theta_hat
+    assert np.float64(namespace["theta_hat"]).tobytes() == np.float64(expected).tobytes()
 
 
 def test_cli_dataset_train_predict_chain(cfg_file, tmp_path, capsys):

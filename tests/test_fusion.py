@@ -188,6 +188,10 @@ def test_approx_approaches_exact_for_large_m_near_broadside():
 def test_crlb_guard_region(fn):
     with pytest.raises(AngleOutOfGuardError):
         fn(BASE_CFG, 0, math.radians(75.0), 0.0, 200)
+    # a complex angle gave a bound from its real part, True one at 1 rad
+    for theta in (0.5j, True, None):
+        with pytest.raises(ConfigError, match="theta0"):
+            fn(BASE_CFG, 0, theta, 0.0, 200)
     fn(BASE_CFG, 0, math.radians(69.9), 0.0, 200)
 
 
@@ -201,6 +205,10 @@ def test_crlb_guard_region(fn):
     (math.nan, 200, "snr_db"),
     (1001.0, 200, "snr_db"),
     (-1001.0, 200, "snr_db"),
+    (None, 200, "snr_db"),
+    ("10", 200, "snr_db"),
+    (5j, 200, "snr_db"),
+    (True, 200, "snr_db"),
 ])
 @pytest.mark.parametrize("fn", [
     lambda snr, t: fused_crlb(BASE_CFG, 0.7, snr, t),
@@ -401,6 +409,9 @@ def test_stacked_failure_names_first_failing_group(monkeypatch, k, broken, label
 
 
 EYE16 = np.eye(16, dtype=complex)
+# a one-emitter covariance: identity plus a rank-one steering term
+_STEER16 = np.exp(0.3j * np.arange(16))
+HERM16 = EYE16 + 0.5 * np.outer(_STEER16, _STEER16.conj())
 
 
 @pytest.mark.parametrize("covs", [
@@ -410,7 +421,16 @@ EYE16 = np.eye(16, dtype=complex)
     [EYE16, EYE16, np.eye(16, 17, dtype=complex)],
     [EYE16, EYE16, EYE16[None]],
     [EYE16.tolist()] * 3,
-], ids=["two-groups", "four-groups", "k15-g1", "non-square-g2", "stacked-g2", "lists"])
+    # the eigensolvers read only the lower triangle, so these were rooted
+    # as if Hermitian, or blamed on the roots
+    [HERM16 + np.triu(np.full((16, 16), 1j), 1), HERM16, HERM16],
+    [HERM16, HERM16 + np.triu(HERM16, 1), HERM16],
+    [HERM16, HERM16, np.triu(HERM16)],
+    [HERM16, HERM16 + 1j * EYE16, HERM16],
+    [HERM16.astype(str)] * 3,
+], ids=["two-groups", "four-groups", "k15-g1", "non-square-g2", "stacked-g2", "lists",
+        "upper-plus-1j-g0", "upper-doubled-g1", "lower-zeroed-g2", "imaginary-diagonal-g1",
+        "strings"])
 def test_candidates_from_covariances_refuses_wrong_shapes(covs):
     with pytest.raises(ValueError, match="covariance per group"):
         candidates_from_covariances(BASE_CFG, covs)
@@ -575,7 +595,7 @@ def test_estimate_seed_paired_methods_share_tuple():
 def test_estimate_doa_is_fusion_of_group_candidates(method):
     sc = scenario(seed=9)
     sets = group_candidates(sc)
-    est = fuse_candidates(sc, sets, method)
+    est = fuse_candidates(sc.cfg, sets, method, sc.snr_db, sc.snapshots)
     assert est.theta_hat == estimate_doa(sc, method).theta_hat
     assert est.candidate_sets == sets
     if method == "crlb_ratio":

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -105,6 +106,43 @@ def test_runtime_imports_only_numpy_and_stdlib():
     allowed = set(sys.stdlib_module_names) | {"numpy", "h2ad_doa"}
     assert "numpy" in {m for _, m in imports}
     assert [f"{f}: {m}" for f, m in imports if m not in allowed] == []
+
+
+#: The steps of the one select-weight-fuse back end, ``fuse_candidates``.
+BACK_END_STEPS = {"select_true_tuple", "weights_crlb_ratio", "weights_exact", "fuse"}
+
+
+def _back_end_steps_used(source, name, reexport=False):
+    """``name:line: step`` for every reference to a back-end step in
+    ``source``, imports included unless ``reexport``.  Parsed, not run."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Name):
+            used = [node.id]
+        elif isinstance(node, ast.Attribute):
+            used = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and not reexport:
+            used = [a.name.rpartition(".")[2] for a in node.names]
+        else:
+            continue
+        found += [f"{name}:{node.lineno}: {step}" for step in used if step in BACK_END_STEPS]
+    return found
+
+
+def test_weighting_is_written_once():
+    # Outside fusion.py the package and the README's examples reach
+    # selection, weighting and fusing only through fuse_candidates, so no
+    # second copy of the back end can drift from it; __init__.py only
+    # re-exports the steps.
+    found = []
+    for path in sorted((ROOT / "src" / "h2ad_doa").glob("*.py")):
+        if path.name != "fusion.py":
+            found += _back_end_steps_used(path.read_text(), path.name,
+                                          reexport=path.name == "__init__.py")
+    readme = (ROOT / "README.md").read_text()
+    for i, block in enumerate(re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)):
+        found += _back_end_steps_used(block, f"README.md python block {i}")
+    assert found == []
 
 
 def test_annotations_resolve():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from h2ad_doa import signal_sim
-from h2ad_doa.array_model import ArrayConfig, gain_coefficient, virtual_steering
+from h2ad_doa.array_model import ArrayConfig, ConfigError, gain_coefficient, virtual_steering
 from h2ad_doa.fusion import estimate_doa
 from h2ad_doa.signal_sim import (
     _EMITTER_STREAM,
@@ -44,12 +44,18 @@ def test_scenario_validation():
         scenario(theta0=math.pi / 2).validate()
     with pytest.raises(ValueError):
         scenario(snapshots=0).validate()
+    # not real numbers: refused by name, not as a TypeError from abs() or
+    # float(), and a bool is not taken as 1 rad
+    for theta0 in (0.5j, True, None, "0.5", np.array(0.5j)):
+        with pytest.raises(ConfigError, match="theta0"):
+            scenario(theta0=theta0)
     scenario(theta0=math.radians(89.9)).validate()
+    scenario(theta0=np.float32(0.7), snr_db=np.float64(3.0)).validate()
 
 
-@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 1001.0, -1001.0])
+@pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 1001.0, -1001.0, None, "10", 5j, True])
 def test_scenario_rejects_undefined_snr(snr_db):
-    with pytest.raises(ValueError, match="snr_db"):
+    with pytest.raises(ConfigError, match="snr_db"):
         scenario(snr_db=snr_db).validate()
 
 
