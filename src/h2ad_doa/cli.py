@@ -17,7 +17,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import mbdnn
 from .array_model import ConfigError, load_config
-from .fusion import fuse_candidates, group_candidates
+from .fusion import fuse_candidates, fused_crlb, group_candidates
 from .signal_sim import SimScenario, simulate_groups
 
 
@@ -65,7 +65,11 @@ def _cmd_estimate(args) -> int:
     scenario = _scenario(args)
     cfg, sets = scenario.cfg, group_candidates(scenario)
     ratio = fuse_candidates(cfg, sets, "crlb_ratio")
-    exact = fuse_candidates(cfg, sets, "exact_crlb", scenario.snr_db, scenario.snapshots)
+    exact = None  # noiseless, every bound is zero: inverse-bound weights are undefined
+    if scenario.snr_db < math.inf:
+        exact = fuse_candidates(cfg, sets, "exact_crlb", scenario.snr_db, scenario.snapshots)
+    crlb = exact.crlb if exact else fused_crlb(cfg, ratio.selected.mean, math.inf,
+                                               scenario.snapshots)
     result = {
         "candidates_deg": {
             str(cs.group_index): [float(v) for v in np.degrees(cs.angles)]
@@ -76,11 +80,11 @@ def _cmd_estimate(args) -> int:
         "tuple_indices": list(ratio.selected.member_indices),
         "dispersion_rad2": ratio.selected.dispersion,
         "weights_crlb_ratio": [float(w) for w in ratio.weights],
-        "weights_exact_crlb": [float(w) for w in exact.weights],
-        "crlb_per_group_rad2": [float(c) for c in exact.crlb.per_group],
-        "crlb_fused_rad2": exact.crlb.fused_bound,
+        "weights_exact_crlb": None if exact is None else [float(w) for w in exact.weights],
+        "crlb_per_group_rad2": [float(c) for c in crlb.per_group],
+        "crlb_fused_rad2": crlb.fused_bound,
         "fused_deg_crlb_ratio": math.degrees(ratio.theta_hat),
-        "fused_deg_exact_crlb": math.degrees(exact.theta_hat),
+        "fused_deg_exact_crlb": None if exact is None else math.degrees(exact.theta_hat),
     }
     if args.json:
         print(json.dumps(result, indent=2))
@@ -108,7 +112,7 @@ def _cmd_dataset(args) -> int:
         snapshots=args.snapshots,
         master_seed=args.seed,
     )
-    ds.save_csv(args.out)
+    ds.save(args.out)
     print(f"wrote {args.out}: {len(ds)} samples, {ds.skipped} skipped")
     return 0
 
@@ -127,7 +131,7 @@ def _cmd_train(args) -> int:
         )
         for stage in stages
     ]
-    dataset = mbdnn.Dataset.load_csv(args.dataset)
+    dataset = mbdnn.Dataset.load(args.dataset)
     if args.model_in:
         model = mbdnn.load_model_for(cfg, args.model_in)
     else:
@@ -200,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_estimate)
 
-    p = sub.add_parser("dataset", help="generate a training dataset CSV")
+    p = sub.add_parser("dataset", help="generate a training dataset (.npz archive)")
     p.add_argument("--config", required=True)
     p.add_argument("--theta-min", type=float, default=-89.0)
     p.add_argument("--theta-max", type=float, default=89.0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 import struct
+import zipfile
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -38,6 +39,9 @@ ADAM_EPS = 1e-8
 
 #: Stage names in training order; "joint" is the optional fine-tune.
 STAGES = ("mb_fcnn", "fusion_net", "joint")
+
+#: The tables of a saved :class:`Dataset` and the rank of each.
+_TABLE_RANKS = {"features": 2, "label_tuple": 2, "label_theta": 1, "snr_db": 1}
 
 
 class ShapeMismatchError(ValueError):
@@ -326,7 +330,8 @@ class Dataset:
 
     ``features[n]`` concatenates the groups' ascending candidate angles
     (degrees); ``label_tuple[n, q]`` is group q's candidate nearest the
-    true angle; ``label_theta[n]`` is the true angle itself.
+    true angle; ``label_theta[n]`` is the true angle itself.  :meth:`save`
+    keeps these and ``snr_db`` as one ``.npz`` archive, ``skipped`` aside.
     """
 
     features: np.ndarray
@@ -347,54 +352,43 @@ class Dataset:
             skipped=0,
         )
 
-    def save_csv(self, path) -> None:
-        q = self.label_tuple.shape[1]
-        p = self.features.shape[1]
-        header = (
-            ["snr_db", "theta_true"]
-            + [f"label_{i + 1}" for i in range(q)]
-            + [f"feat_{i + 1}" for i in range(p)]
-        )
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for n in range(len(self)):
-                row = (
-                    [self.snr_db[n], self.label_theta[n]]
-                    + list(self.label_tuple[n])
-                    + list(self.features[n])
-                )
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    def save(self, path) -> None:
+        """Write the four tables to ``path`` itself as one ``.npz`` archive
+        (through an open file: :func:`numpy.savez` suffixes a bare path)."""
+        with open(path, "wb") as fh:
+            np.savez(fh, **{name: getattr(self, name) for name in _TABLE_RANKS})
 
     @classmethod
-    def load_csv(cls, path) -> "Dataset":
-        """Inverse of :meth:`save_csv`.
+    def load(cls, path) -> "Dataset":
+        """Inverse of :meth:`save`.
 
-        Raises ``ValueError`` for a foreign header, a row whose field
-        count differs from the header's, and a file that does not end in
-        a newline: :meth:`save_csv` always writes one, so such a file was
-        cut off, possibly inside a number.
+        Raises ``ValueError`` for any file that is not exactly the four
+        real-valued tables of one row count: a missing or extra table, a
+        non-numeric or complex dtype, a wrong rank, mismatched row counts,
+        a table header claiming more rows than memory holds, a bare
+        ``.npy`` or a pickle, and every file cut short.
         """
-        with open(path) as fh:
-            text = fh.read()
-        if not text.endswith("\n"):
-            raise ValueError(f"{path}: no final newline, the dataset file is cut off")
-        header, *lines = text.splitlines()
-        header = header.strip().split(",")
-        rows = [line.strip().split(",") for line in lines if line.strip()]
-        labels = [h for h in header if h.startswith("label_")]
-        feats = [h for h in header if h.startswith("feat_")]
-        expected = ["snr_db", "theta_true"] + labels + feats
-        if header != expected or not labels or not feats:
-            raise ValueError(f"unrecognized dataset header {header}")
-        table = np.array([[float(v) for v in row] for row in rows])
-        table = table.reshape(len(rows), len(header))
-        q = len(labels)
-        return cls(
-            features=table[:, 2 + q:],
-            label_tuple=table[:, 2: 2 + q],
-            label_theta=table[:, 1],
-            snr_db=table[:, 0],
-        )
+        try:
+            archive = np.load(path, allow_pickle=False)
+            if not isinstance(archive, np.lib.npyio.NpzFile):
+                raise ValueError("a bare .npy array")
+            with archive:
+                tables = {name: archive[name] for name in archive.files}
+        except (ValueError, EOFError, zipfile.BadZipFile, MemoryError) as err:
+            # numpy raises the first three for a cut file, by where the cut
+            # falls, and MemoryError for a table header claiming too much
+            raise ValueError(f"{path}: not a dataset archive, or cut short ({err})") from err
+        if sorted(tables) != sorted(_TABLE_RANKS):
+            raise ValueError(f"{path}: tables {sorted(tables)}, expected {sorted(_TABLE_RANKS)}")
+        for name, rank in _TABLE_RANKS.items():
+            table = tables[name]
+            # a member that is not an .npy loads as its raw bytes
+            if not (isinstance(table, np.ndarray) and table.dtype.kind in "iuf"
+                    and table.ndim == rank):
+                raise ValueError(f"{path}: table {name!r} is not a real {rank}-D array")
+        if len({table.shape[0] for table in tables.values()}) != 1:
+            raise ValueError(f"{path}: tables of different row counts")
+        return cls(**tables)
 
 
 def features_from_candidates(

@@ -1,5 +1,9 @@
-"""Test-only MLP oracle: a central-difference audit of the backprop
-gradients of every training stage."""
+"""Test-only MLP oracles: a central-difference audit of the backprop
+gradients of every training stage, and the foreign files a dataset
+loader must refuse."""
+
+import io
+import zipfile
 
 import numpy as np
 
@@ -76,3 +80,44 @@ def grad_check(
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1.0)
             worst = max(worst, err)
     return worst
+
+
+def foreign_dataset_files(ds: Dataset) -> dict[str, bytes]:
+    """Files :meth:`Dataset.load` must refuse, built around the tables of
+    ``ds`` (at least one row): each differs from a saved dataset in one
+    way, a table missing or added, of another dtype, rank or row count,
+    or the file not an ``.npz`` archive of arrays at all."""
+    tables = {"features": ds.features, "label_tuple": ds.label_tuple,
+              "label_theta": ds.label_theta, "snr_db": ds.snr_db}
+
+    def npy(table):
+        buf = io.BytesIO()
+        np.save(buf, table)
+        return buf.getvalue()
+
+    def archive(**changes):  # each value an array, raw member bytes, or None to drop
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as zf:
+            for name, table in {**tables, **changes}.items():
+                if table is not None:
+                    zf.writestr(f"{name}.npy", table if isinstance(table, bytes) else npy(table))
+        return buf.getvalue()
+
+    # a header claiming 1e15 rows, which no allocation can hold
+    forged = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        forged, {"descr": "<f8", "fortran_order": False, "shape": (10**15, ds.features.shape[1])})
+    return {
+        "csv-text": b"a,b,c\n1,2,3\n",
+        "empty": b"",
+        "missing-table": archive(snr_db=None),
+        "extra-table": archive(skipped=np.zeros(1)),
+        "object-dtype": archive(features=ds.features.astype(object)),
+        "string-dtype": archive(label_theta=ds.label_theta.astype(str)),
+        "complex-dtype": archive(label_tuple=ds.label_tuple.astype(complex)),
+        "wrong-rank": archive(label_theta=ds.label_theta[:, None]),
+        "mismatched-rows": archive(snr_db=np.append(ds.snr_db, 0.0)),
+        "text-member": archive(features=b"not an array"),
+        "forged-shape": archive(features=forged.getvalue()),
+        "bare-npy": npy(ds.features),
+    }

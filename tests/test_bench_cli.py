@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -35,6 +37,8 @@ from h2ad_doa.fusion import (
     group_candidates,
 )
 from h2ad_doa.signal_sim import GroupSnapshots, SimScenario, sample_covariance, simulate_groups
+
+from mlp_oracles import foreign_dataset_files
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -446,6 +450,14 @@ def test_cli_estimate_json(cfg_file, capsys):
     assert abs(data["fused_deg_crlb_ratio"] - 41.0) < 0.1
     assert len(data["candidates_deg"]["0"]) == 7
     assert sum(data["weights_crlb_ratio"]) == pytest.approx(1.0)
+    # noiseless: the bounds are zero and inverse-bound weights undefined
+    rc = cli_main(["estimate", "--config", cfg_file, "--theta0-deg", "41",
+                   "--snr-db", "inf", "--snapshots", "100", "--seed", "5", "--json"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert abs(data["fused_deg_crlb_ratio"] - 41.0) < 1e-6
+    assert data["crlb_per_group_rad2"] == [0.0, 0.0, 0.0] and data["crlb_fused_rad2"] == 0.0
+    assert data["weights_exact_crlb"] is None and data["fused_deg_exact_crlb"] is None
 
 
 def test_cli_simulate_writes_per_group_files(cfg_file, tmp_path, capsys):
@@ -530,13 +542,15 @@ def test_readme_recorded_data_example_runs_as_written(tmp_path, monkeypatch):
 
 
 def test_cli_dataset_train_predict_chain(cfg_file, tmp_path, capsys):
-    ds = str(tmp_path / "ds.csv")
+    ds = str(tmp_path / "ds")
     model = str(tmp_path / "model.mbdnn")
     rc = cli_main(["dataset", "--config", cfg_file, "--theta-min", "30",
                    "--theta-max", "50", "--theta-step", "10", "--snr-min", "10",
                    "--snr-max", "10", "--snr-step", "5", "--trials", "2",
                    "--snapshots", "64", "--out", ds])
     assert rc == 0
+    # the archive is written at --out itself, with no suffix appended
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "ds"]
     rc = cli_main(["train", "--config", cfg_file, "--dataset", ds, "--stage",
                    "all", "--epochs", "2", "--batch-size", "4", "--out", model])
     assert rc == 0
@@ -605,7 +619,7 @@ _ONE_CELL = ["--snr-min", "10", "--snr-max", "10", "--trials", "1"]
         (["estimate", "--snapshots", "0"], "snapshots", 0.5),
         (["estimate", "--theta0-deg", "95"], "theta0", 0.5),
         (["dataset", "--theta-step", "30", *_ONE_CELL], "d_over_lambda", 0.4),
-        (["train", "--dataset", "missing.csv"], "d_over_lambda", 0.4),
+        (["train", "--dataset", "missing.npz"], "d_over_lambda", 0.4),
         (["predict"], "d_over_lambda", 0.4),
         (["bench", "--snr-grid", "1,x", "--trials", "1"], "bad grid '1,x'", 0.5),
     ],
@@ -636,8 +650,8 @@ def test_cli_refuses_model_for_other_subarray_sizes(cfg_file, tmp_path, capsys,
     # same feature length would otherwise read the wrong groups' candidates
     model = str(tmp_path / "m.mbdnn")
     mbdnn.save_model(mbdnn.init_model(mbdnn.MlpSpec(M=saved_for), seed=1), model)
-    ds = tmp_path / "ds.csv"
-    mbdnn.generate_dataset(BASE_CFG, [40.0], [10.0], 1, snapshots=32).save_csv(ds)
+    ds = tmp_path / "ds.npz"
+    mbdnn.generate_dataset(BASE_CFG, [40.0], [10.0], 1, snapshots=32).save(ds)
     passes = []
     simulate = fusion.simulate_groups
     monkeypatch.setattr(fusion, "simulate_groups",
@@ -685,8 +699,7 @@ def _scenario_rows(command, noiseless):
 
 
 _EXIT_TABLE = [  # (command, flag, exit code at each of _EXIT_VALUES in turn)
-    # noiseless bounds are zero, which exact-CRLB weights cannot invert
-    *_scenario_rows("estimate", 3),
+    *_scenario_rows("estimate", 0),
     *_scenario_rows("simulate", 0),
     *_scenario_rows("predict", 0),
     ("dataset", "--theta-min", 0, 0, 2, 2, 2, 2),  # 4000: an empty grid
@@ -716,10 +729,10 @@ def exit_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("exit")
     save_config(BASE_CFG, root / "cfg.json")
     mbdnn.generate_dataset(BASE_CFG, [30.0, 40.0, 50.0], [10.0], 2,
-                           snapshots=32).save_csv(root / "ds.csv")
+                           snapshots=32).save(root / "ds.npz")
     model = mbdnn.init_model(mbdnn.MlpSpec.from_config(BASE_CFG), seed=1)
     mbdnn.save_model(model, root / "m.mbdnn")
-    return {"config": str(root / "cfg.json"), "dataset": str(root / "ds.csv"),
+    return {"config": str(root / "cfg.json"), "dataset": str(root / "ds.npz"),
             "model": str(root / "m.mbdnn")}
 
 
@@ -740,10 +753,10 @@ def test_cli_numeric_flag_exit_codes(exit_files, tmp_path, capsys, command, flag
         assert not any(tmp_path.iterdir())
 
 
-# A cut-off input file exits with the code of its kind: 2 for a config,
-# 3 for a model or a dataset.  Cuts that leave a loadable file are not
-# drawn: a config that lost only its final newline, and a dataset cut
-# just after a row.
+# A cut-off input file exits with the code and message prefix of its
+# kind: 2 for a config, 3 for a model or a dataset.
+# Cuts that leave a loadable file are not drawn: a config that lost only
+# its final newline.
 _CUT_FILES = {"validate": ("config", 2), "predict": ("model", 3), "train": ("dataset", 3)}
 
 
@@ -753,8 +766,7 @@ def test_cli_cut_file_exit_codes(exit_files, tmp_path_factory, command, data):
     kind, code = _CUT_FILES[command]
     blob = open(exit_files[kind], "rb").read()
     removed = data.draw(st.integers(1, len(blob)).filter(
-        lambda r: not (kind == "config" and r == 1
-                       or kind == "dataset" and blob[:-r].endswith(b"\n"))))
+        lambda r: not (kind == "config" and r == 1)))
     root = tmp_path_factory.mktemp("cut")
     files = {**exit_files, kind: str(root / kind)}
     (root / kind).write_bytes(blob[:-removed])
@@ -764,5 +776,22 @@ def test_cli_cut_file_exit_codes(exit_files, tmp_path_factory, command, data):
         "predict": ["--model", files["model"], "--snapshots", "32"],
         "train": ["--dataset", files["dataset"], "--epochs", "1", "--out", str(out)],
     }[command]
-    assert cli_main([command, "--config", files["config"], *argv]) == code
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli_main([command, "--config", files["config"], *argv]) == code
+    assert err.getvalue().startswith("config error:" if code == 2 else "error:")
+    assert not out.exists()
+
+
+def test_cli_train_refuses_foreign_dataset(exit_files, tmp_path, capsys):
+    # each file the dataset loader refuses exits 3 with the loader's message
+    out = tmp_path / "out"
+    foreign = foreign_dataset_files(mbdnn.Dataset.load(exit_files["dataset"]))
+    for name, blob in foreign.items():
+        path = tmp_path / name
+        path.write_bytes(blob)
+        assert cli_main(["train", "--config", exit_files["config"], "--dataset", str(path),
+                         "--epochs", "1", "--out", str(out)]) == 3, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:"), (name, err)
     assert not out.exists()

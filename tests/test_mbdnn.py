@@ -31,7 +31,7 @@ from h2ad_doa.mbdnn import (
 )
 from h2ad_doa.signal_sim import SimScenario
 
-from mlp_oracles import grad_check
+from mlp_oracles import foreign_dataset_files, grad_check
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 SPEC = MlpSpec.from_config(BASE_CFG)
@@ -375,46 +375,38 @@ def test_mlp_layout_rejects_spacing_other_than_half_wavelength(monkeypatch, spac
     assert calls == []
 
 
-def test_dataset_csv_round_trip(tmp_path):
+def test_dataset_round_trip(tmp_path):
     ds = random_dataset(10, seed=5)
-    path = tmp_path / "ds.csv"
-    ds.save_csv(path)
-    back = Dataset.load_csv(path)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.label_tuple, ds.label_tuple)
-    assert np.array_equal(back.label_theta, ds.label_theta)
-    assert np.array_equal(back.snr_db, ds.snr_db)
+    path = tmp_path / "ds.npz"
+    ds.save(path)
+    back = Dataset.load(path)
+    for name in ("features", "label_tuple", "label_theta", "snr_db"):
+        got, want = getattr(back, name), getattr(ds, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
-def test_dataset_csv_rejects_foreign_header(tmp_path):
-    path = tmp_path / "ds.csv"
-    path.write_text("a,b,c\n1,2,3\n")
+_FOREIGN_DATASETS = foreign_dataset_files(random_dataset(3))
+
+
+@pytest.mark.parametrize("name", sorted(_FOREIGN_DATASETS))
+def test_dataset_rejects_foreign_file(tmp_path, name):
+    path = tmp_path / "ds.npz"
+    path.write_bytes(_FOREIGN_DATASETS[name])
     with pytest.raises(ValueError):
-        Dataset.load_csv(path)
+        Dataset.load(path)
 
 
-def test_dataset_csv_every_cut_is_refused_or_a_row_prefix(tmp_path):
-    # save_csv ends every row with a newline: a cut inside a value must not
-    # load as a shorter number
-    ds = random_dataset(3, seed=7)
-    path = tmp_path / "ds.csv"
-    ds.save_csv(path)
-    text = path.read_text()
-    tables = [ds.snr_db, ds.label_theta, ds.label_tuple, ds.features]
-    loaded = 0
-    for n in range(len(text)):
-        path.write_text(text[:n])
-        try:
-            back = Dataset.load_csv(path)
-        except ValueError:
-            continue
-        loaded += 1
-        rows = len(back)
-        assert text[:n].count("\n") == rows + 1
-        for got, want in zip([back.snr_db, back.label_theta, back.label_tuple,
-                              back.features], tables):
-            assert got.tobytes() == want[:rows].tobytes()
-    assert loaded == 3  # header only, one row, two rows
+def test_dataset_every_cut_is_refused(tmp_path):
+    # a cut at any length, a table boundary included, must not load as a
+    # smaller dataset
+    path = tmp_path / "ds.npz"
+    random_dataset(3, seed=7).save(path)
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(ValueError):
+            Dataset.load(path)
 
 
 def test_dataset_subset():
