@@ -39,11 +39,20 @@ class ConfigError(ValueError):
     """Array configuration that cannot describe a valid receiver."""
 
 
-def check_integer(field: str, value) -> None:
+def check_integer(field: str, value, low: int | None, high: int | None = None) -> None:
     """Raise ``ConfigError`` naming ``field`` unless ``value`` is a Python or
-    numpy integer; floats, integral or not, and bools are refused."""
+    numpy integer within ``[low, high]``, where a bound of None is open;
+    floats, integral or not, and bools are refused."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{field}={value!r} must be an integer")
+    if high is None:
+        if low is not None and value < low:
+            raise ConfigError(f"{field}={value} must be >= {low}")
+    elif low is None:
+        if value > high:
+            raise ConfigError(f"{field}={value} must be <= {high}")
+    elif not low <= value <= high:
+        raise ConfigError(f"{field}={value} must be within [{low}, {high}]")
 
 
 def check_real(field: str, value) -> None:
@@ -190,16 +199,12 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
             f"M has {len(cfg.M)} groups but K has {len(cfg.K)}"
         )
     for q, (m, k) in enumerate(zip(cfg.M, cfg.K)):
-        check_integer(f"M[{q}]", m)
-        check_integer(f"K[{q}]", k)
+        check_integer(f"M[{q}]", m, None, MAX_SUBARRAY_SIZE)
+        check_integer(f"K[{q}]", k, None, MAX_SUBARRAYS)
         if m < 2:
             raise GroupTooSmallError(q, "subarray size M", m)
         if k < 2:
             raise GroupTooSmallError(q, "subarray count K", k)
-        if m > MAX_SUBARRAY_SIZE:
-            raise ConfigError(f"group {q}: subarray size M={m} exceeds {MAX_SUBARRAY_SIZE}")
-        if k > MAX_SUBARRAYS:
-            raise ConfigError(f"group {q}: subarray count K={k} exceeds {MAX_SUBARRAYS}")
     for q in range(len(cfg.M)):
         for k in range(q + 1, len(cfg.M)):
             if math.gcd(cfg.M[q], cfg.M[k]) != 1:

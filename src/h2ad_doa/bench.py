@@ -49,9 +49,10 @@ class BenchSpec:
 
     Grids multiply: every combination of SNR, snapshot count, and
     uniform subarray count ``K`` becomes a cell.  ``k_grid=None`` keeps
-    the configuration's own subarray counts.  Construction runs
-    :meth:`validate`, so a spec that exists can be swept; ``trials`` and
-    ``master_seed`` must be integers.
+    the configuration's own subarray counts.  Construction checks the
+    spec and builds every cell's scenario, so a spec that exists can be
+    swept; ``trials`` must be an integer of at least 1 and ``master_seed``
+    one of at least 0.
     """
 
     cfg: ArrayConfig
@@ -65,15 +66,8 @@ class BenchSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> "BenchSpec":
-        check_integer("trials", self.trials)
-        check_integer("master_seed", self.master_seed)
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed={self.master_seed} must be >= 0")
+        check_integer("trials", self.trials, 1)
+        check_integer("master_seed", self.master_seed, 0)
         empty_k = self.k_grid is not None and not self.k_grid
         if not self.snr_grid or not self.snapshot_grid or empty_k:
             raise ConfigError("empty sweep grid")
@@ -85,7 +79,6 @@ class BenchSpec:
         # Build every cell's scenario so their checks run before any trial.
         for _ in _cells(self):
             pass
-        return self
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig, ConfigError, check_integer
+from .array_model import ArrayConfig, ConfigError, check_integer, check_real
 from .fusion import GroupFailureError, group_candidates
 from .signal_sim import SimScenario, derive_seed
 from .subspace import CandidateSet
@@ -169,7 +169,9 @@ class MlpModel:
 
 
 def init_model(spec: MlpSpec, seed: int = 0) -> MlpModel:
-    """Fresh model: weights uniform in +-sqrt(6/(fan_in+fan_out)), zero biases."""
+    """Fresh model: weights uniform in +-sqrt(6/(fan_in+fan_out)), zero biases;
+    a ``seed`` that is not an integer >= 0 raises ``ConfigError``."""
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in spec.parameter_shapes():
@@ -296,11 +298,11 @@ def _stage_loss_and_grads(
 class TrainConfig:
     """One training stage's hyperparameters (Adam throughout).
 
-    Construction checks them: an unknown stage, an epoch count, batch
-    size or seed that is not an integer, fewer than one epoch or one
-    sample per batch, a negative or non-finite learning rate, or a
-    negative seed raises ``ConfigError``.  A learning rate of 0 is legal
-    and leaves the parameters unchanged.
+    Construction checks them: an unknown stage, an epoch count or batch
+    size that is not an integer of at least 1, a seed that is not one of
+    at least 0, or a learning rate that is not a finite real number of at
+    least 0 raises ``ConfigError``.  A learning rate of 0 is legal and
+    leaves the parameters unchanged.
     """
 
     stage: str
@@ -312,16 +314,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
-        for name in ("epochs", "batch_size", "seed"):
-            check_integer(name, getattr(self, name))
-        if self.epochs < 1:
-            raise ConfigError(f"epochs={self.epochs} must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size={self.batch_size} must be >= 1")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            check_integer(name, getattr(self, name), low)
+        check_real("lr", self.lr)
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ConfigError(f"lr={self.lr} must be finite and >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed={self.seed} must be >= 0")
 
 
 @dataclass
@@ -423,21 +420,17 @@ def generate_dataset(
     The layout check (:meth:`MlpSpec.from_config`) and every cell's
     scenario come before the first trial, so a spacing other than half a
     wavelength, an invalid angle, SNR or snapshot count, an empty grid,
-    a ``trials_per_cell`` or ``master_seed`` that is not an integer,
-    ``trials_per_cell < 1`` or a negative master seed raises
-    ``ConfigError`` before any work.
+    a ``trials_per_cell`` that is not an integer of at least 1 or a
+    ``master_seed`` that is not one of at least 0 raises ``ConfigError``
+    before any work.
     Cells where any group's subspace collapses are skipped and counted,
     not imputed.  Deterministic for a given master seed.
     """
     spec = MlpSpec.from_config(cfg)
     if len(thetas_deg) == 0 or len(snrs_db) == 0:
         raise ConfigError("empty angle or SNR grid")
-    check_integer("trials_per_cell", trials_per_cell)
-    check_integer("master_seed", master_seed)
-    if trials_per_cell < 1:
-        raise ConfigError(f"trials_per_cell={trials_per_cell} must be >= 1")
-    if master_seed < 0:
-        raise ConfigError(f"master_seed={master_seed} must be >= 0")
+    check_integer("trials_per_cell", trials_per_cell, 1)
+    check_integer("master_seed", master_seed, 0)
     offsets = spec.feature_offsets()
     cells = [
         (ti, si, float(theta_deg),
@@ -485,6 +478,9 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
     angle with the backbone frozen; ``joint`` fine-tunes everything on
     the self-consistency loss.
 
+    A dataset without one model-length feature row, one label per group
+    and one true angle per sample raises ``ShapeMismatchError`` first.
+
     Returns
     -------
     (MlpModel, list of float)
@@ -497,6 +493,14 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
             f"dataset feature length {dataset.features.shape[1]} does not "
             f"match model feature length {model.spec.feature_length}"
         )
+    rows, groups = len(dataset), model.spec.num_groups
+    for name, shape in (("label_tuple", (rows, groups)), ("label_theta", (rows,))):
+        actual = np.shape(getattr(dataset, name))
+        if actual != shape:
+            raise ShapeMismatchError(
+                f"dataset {name} shape {actual}, expected {shape} for {rows} "
+                f"samples of {groups} groups"
+            )
     trained = model.trained_names(cfg.stage)
     adam_m = {n: np.zeros_like(model.params[n]) for n in trained}
     adam_v = {n: np.zeros_like(model.params[n]) for n in trained}

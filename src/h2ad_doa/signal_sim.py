@@ -78,8 +78,6 @@ from .array_model import (
 #: Stream index reserved for the emitter waveform (groups use their own index).
 _EMITTER_STREAM = 0xFFFF_FFFF_FFFF_FFFF
 
-_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
-
 #: Counter and buffer of a freshly keyed Philox; the ``state`` setter copies it.
 _ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 _ZERO_WORDS.flags.writeable = False
@@ -130,10 +128,10 @@ SNR_DB_LIMIT = 1000.0
 
 
 def check_operating_point(snr_db: float, snapshots: int) -> None:
-    """Reject a snapshot count that is not an integer
-    (:func:`~h2ad_doa.array_model.check_integer`) or is below one, and an
-    SNR that is not a real number (:func:`~h2ad_doa.array_model.check_real`)
-    or is NaN, -inf or finite beyond ``SNR_DB_LIMIT`` in magnitude (+inf is
+    """Reject a snapshot count that is not an integer of at least one
+    (:func:`~h2ad_doa.array_model.check_integer`), and an SNR that is not
+    a real number (:func:`~h2ad_doa.array_model.check_real`) or is NaN,
+    -inf or finite beyond ``SNR_DB_LIMIT`` in magnitude (+inf is
     noiseless).
 
     Raises
@@ -141,24 +139,21 @@ def check_operating_point(snr_db: float, snapshots: int) -> None:
     ConfigError
         Naming the offending field.
     """
-    check_integer("snapshots", snapshots)
-    if snapshots < 1:
-        raise ConfigError(f"snapshots={snapshots} must be >= 1")
+    check_integer("snapshots", snapshots, 1)
     check_real("snr_db", snr_db)
     if not (snr_db == np.inf or abs(snr_db) <= SNR_DB_LIMIT):
-        raise ConfigError(
-            f"snr_db={snr_db} must be within +-{SNR_DB_LIMIT:g} dB or +inf"
-        )
+        raise ConfigError(f"snr_db={snr_db} is neither +inf nor within +-{SNR_DB_LIMIT:g} dB")
 
 
 @dataclass(frozen=True)
 class SimScenario:
     """One emitter/receiver configuration to simulate.
 
-    Construction checks it with :meth:`validate`; ``snapshots`` and
-    ``seed`` must be integers (:func:`~h2ad_doa.array_model.check_integer`),
-    ``theta0`` and ``snr_db`` real numbers, not bools
-    (:func:`~h2ad_doa.array_model.check_real`).
+    Construction checks it: ``snapshots`` and ``seed`` must be integers
+    in range (:func:`~h2ad_doa.array_model.check_integer`), ``theta0`` and
+    ``snr_db`` real numbers, not bools
+    (:func:`~h2ad_doa.array_model.check_real`); any other value raises
+    ``ConfigError`` naming the field.
 
     Parameters
     ----------
@@ -173,7 +168,8 @@ class SimScenario:
     snapshots : int
         Number of snapshots ``T``.
     seed : int
-        Master seed for the scenario.
+        Master seed for the scenario, in ``[0, 2**64 - 1]``: it is one word
+        of the streams' Philox key, so no two seeds share a stream.
     """
 
     cfg: ArrayConfig
@@ -183,21 +179,17 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    @property
-    def noise_variance(self) -> float:
-        return float(10.0 ** (-self.snr_db / 10.0))
-
-    def validate(self) -> "SimScenario":
-        check_integer("seed", self.seed)
+        check_integer("seed", self.seed, 0, 2**64 - 1)
         check_real("theta0", self.theta0)
         if not abs(self.theta0) < np.pi / 2:
             raise ConfigError(
                 f"theta0={self.theta0} rad must satisfy |theta0| < pi/2"
             )
         check_operating_point(self.snr_db, self.snapshots)
-        return self
+
+    @property
+    def noise_variance(self) -> float:
+        return float(10.0 ** (-self.snr_db / 10.0))
 
 
 @dataclass(frozen=True)
@@ -227,7 +219,7 @@ def derive_seed(master_seed: int, *path: int) -> int:
 
 
 def _key(seed: int, stream_id: int) -> np.ndarray:
-    return np.array([seed & _MASK64, stream_id & _MASK64], dtype=np.uint64)
+    return np.array([seed, stream_id], dtype=np.uint64)
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:

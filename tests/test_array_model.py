@@ -24,7 +24,7 @@ from h2ad_doa.array_model import (
     virtual_steering,
 )
 from h2ad_doa.bench import BenchSpec
-from h2ad_doa.mbdnn import TrainConfig, generate_dataset
+from h2ad_doa.mbdnn import MlpSpec, TrainConfig, generate_dataset, init_model
 from h2ad_doa.signal_sim import SimScenario
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
@@ -228,22 +228,30 @@ def test_load_config_missing_file_is_config_error(tmp_path):
         load_config(tmp_path / "nope.json")
 
 
-# (owner, field) -> (build with the field set to a value, a valid value)
+# (owner, field) -> (build with the field set to a value, a valid value,
+# the field's range with a None bound open)
 _INTEGER_FIELDS = {
-    ("ArrayConfig", "M[1]"): (lambda v: ArrayConfig(M=(7, v, 13), K=(16, 16, 16)), 11),
-    ("ArrayConfig", "K[1]"): (lambda v: ArrayConfig(M=(7, 11, 13), K=(16, v, 16)), 16),
-    ("SimScenario", "snapshots"): (lambda v: SimScenario(BASE_CFG, 0.5, 10.0, v), 32),
-    ("SimScenario", "seed"): (lambda v: SimScenario(BASE_CFG, 0.5, 10.0, 32, seed=v), 5),
-    ("BenchSpec", "trials"): (lambda v: BenchSpec(cfg=BASE_CFG, trials=v), 2),
-    ("BenchSpec", "master_seed"): (lambda v: BenchSpec(cfg=BASE_CFG, master_seed=v), 3),
-    ("TrainConfig", "epochs"): (lambda v: TrainConfig("mb_fcnn", epochs=v), 2),
-    ("TrainConfig", "batch_size"): (lambda v: TrainConfig("mb_fcnn", batch_size=v), 4),
-    ("TrainConfig", "seed"): (lambda v: TrainConfig("mb_fcnn", seed=v), 5),
+    ("ArrayConfig", "M[1]"): (lambda v: ArrayConfig(M=(7, v, 13), K=(16, 16, 16)), 11,
+                              (None, MAX_SUBARRAY_SIZE)),  # below 2: GroupTooSmallError
+    ("ArrayConfig", "K[1]"): (lambda v: ArrayConfig(M=(7, 11, 13), K=(16, v, 16)), 16,
+                              (None, MAX_SUBARRAYS)),
+    ("SimScenario", "snapshots"): (lambda v: SimScenario(BASE_CFG, 0.5, 10.0, v), 32, (1, None)),
+    ("SimScenario", "seed"): (lambda v: SimScenario(BASE_CFG, 0.5, 10.0, 32, seed=v), 5,
+                              (0, 2**64 - 1)),  # one word of a Philox key
+    ("BenchSpec", "trials"): (lambda v: BenchSpec(cfg=BASE_CFG, trials=v), 2, (1, None)),
+    ("BenchSpec", "master_seed"): (lambda v: BenchSpec(cfg=BASE_CFG, master_seed=v), 3,
+                                   (0, None)),
+    ("TrainConfig", "epochs"): (lambda v: TrainConfig("mb_fcnn", epochs=v), 2, (1, None)),
+    ("TrainConfig", "batch_size"): (lambda v: TrainConfig("mb_fcnn", batch_size=v), 4,
+                                    (1, None)),
+    ("TrainConfig", "seed"): (lambda v: TrainConfig("mb_fcnn", seed=v), 5, (0, None)),
     ("generate_dataset", "trials_per_cell"): (
-        lambda v: generate_dataset(BASE_CFG, [40.0], [10.0], v, snapshots=32), 1),
+        lambda v: generate_dataset(BASE_CFG, [40.0], [10.0], v, snapshots=32), 1, (1, None)),
     ("generate_dataset", "master_seed"): (
         lambda v: generate_dataset(BASE_CFG, [40.0], [10.0], 1, snapshots=32,
-                                   master_seed=v), 3),
+                                   master_seed=v), 3, (0, None)),
+    ("init_model", "seed"): (lambda v: init_model(MlpSpec.from_config(BASE_CFG), v), 7,
+                             (0, None)),
 }
 
 
@@ -253,13 +261,24 @@ _INTEGER_FIELDS = {
 def test_integer_fields_refuse_floats_and_bools(key, value):
     # refused at construction, naming the field; a float that passed would
     # fail later with a TypeError, which the CLI maps to no exit code
-    build, _ = _INTEGER_FIELDS[key]
+    build, _, _ = _INTEGER_FIELDS[key]
     with pytest.raises(ConfigError, match=re.escape(f"{key[1]}={value!r}")):
         build(value)
 
 
 @pytest.mark.parametrize("key", sorted(_INTEGER_FIELDS), ids="-".join)
 def test_integer_fields_accept_python_and_numpy_integers(key):
-    build, valid = _INTEGER_FIELDS[key]
+    build, valid, _ = _INTEGER_FIELDS[key]
     build(valid)
     build(np.int64(valid))
+
+
+@pytest.mark.parametrize("key", sorted(_INTEGER_FIELDS), ids="-".join)
+def test_integer_fields_take_their_range_edges_only(key):
+    # each edge constructs, and one step past it is refused by name
+    build, _, bounds = _INTEGER_FIELDS[key]
+    for edge, step in zip(bounds, (-1, 1)):
+        if edge is not None:
+            build(edge)
+            with pytest.raises(ConfigError, match=re.escape(f"{key[1]}={edge + step} must be")):
+                build(edge + step)

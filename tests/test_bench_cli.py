@@ -61,13 +61,13 @@ def test_compute_rmse_formula_and_sampling_oracle():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        tiny_spec(trials=0).validate()
+        tiny_spec(trials=0)
     with pytest.raises(ValueError):
-        tiny_spec(methods=("magic",)).validate()
+        tiny_spec(methods=("magic",))
     with pytest.raises(ValueError):
-        tiny_spec(snr_grid=()).validate()
+        tiny_spec(snr_grid=())
     with pytest.raises(ValueError):
-        tiny_spec(methods=("mbdnn",)).validate()  # needs model_path
+        tiny_spec(methods=("mbdnn",))  # needs model_path
     # grid points that no scenario can take are rejected before any trial
     with pytest.raises(ConfigError, match="snapshots"):
         tiny_spec(snapshot_grid=(0,))
@@ -695,7 +695,7 @@ def _scenario_rows(command, noiseless):
     return [(command, "--theta0-deg", 0, 0, 2, 2, 2, 2),
             (command, "--snr-db", 0, 0, 2, noiseless, 2, 2),
             (command, "--snapshots", 2, 2),
-            (command, "--seed", 0, 0)]
+            (command, "--seed", 0, 2)]
 
 
 _EXIT_TABLE = [  # (command, flag, exit code at each of _EXIT_VALUES in turn)

@@ -145,6 +145,48 @@ def test_weighting_is_written_once():
     assert found == []
 
 
+#: Wordings of a range refusal, which only ``array_model.check_integer`` builds.
+BOUND_WORDINGS = ("must be >=", "must be within")
+
+
+def _bound_messages(path):
+    """``name:line: text`` for every string the module at ``path`` builds,
+    docstrings aside, that words a range refusal.  Parsed, not run; an
+    f-string's fields read as ``{}``."""
+    tree = ast.parse(path.read_text(), filename=path.name)
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) in docstrings:
+                continue
+            text = node.value
+        else:
+            continue
+        if any(wording in text for wording in BOUND_WORDINGS):
+            found.add(f"{path.name}:{node.lineno}: {text}")
+    return sorted(found)
+
+
+def test_integer_bounds_are_written_once():
+    # Every integer field takes its range through array_model.check_integer,
+    # so no module words a range refusal of its own that could drift from it.
+    package = ROOT / "src" / "h2ad_doa"
+    assert _bound_messages(package / "array_model.py")  # the detector sees the rule
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "array_model.py":
+            found += _bound_messages(path)
+    assert found == []
+
+
 def test_annotations_resolve():
     # Tools that read annotations (``typing.get_type_hints``, which
     # ``bench.parse_csv`` relies on) fail on any name an annotation uses

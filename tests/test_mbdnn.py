@@ -11,6 +11,7 @@ from h2ad_doa import mbdnn
 from h2ad_doa.array_model import ArrayConfig, ConfigError
 from h2ad_doa.fusion import GroupFailureError, group_candidates
 from h2ad_doa.mbdnn import (
+    STAGES,
     BadMagicError,
     Dataset,
     DimMismatchError,
@@ -75,6 +76,11 @@ def test_init_glorot_bounds_and_zero_biases():
     assert all(np.array_equal(model.params[k], again.params[k]) for k in model.params)
     other = init_model(SPEC, seed=6)
     assert not np.array_equal(model.params["merge_w"], other.params["merge_w"])
+    # a seed that default_rng would take as another value, or refuse with
+    # its own error, is refused by name
+    for seed in (True, -1, 1.5, "5", None):
+        with pytest.raises(ConfigError, match="seed="):
+            init_model(SPEC, seed=seed)
 
 
 def relu(v):
@@ -228,6 +234,26 @@ def test_train_rejects_bad_stage_and_empty_data():
         train(model, narrow, TrainConfig(stage="mb_fcnn"))
 
 
+@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("table, cut", [
+    ("label_tuple", lambda t: t[:, :1]),  # would broadcast against every head
+    ("label_tuple", lambda t: t[:, 0]),
+    ("label_tuple", lambda t: t[:-1]),
+    ("label_theta", lambda t: t[:-1]),  # would raise IndexError mid-epoch
+    ("label_theta", lambda t: t[:, None]),
+], ids=["tuple-one-column", "tuple-1d", "tuple-short", "theta-short", "theta-column"])
+def test_train_refuses_labels_of_wrong_shape(stage, table, cut):
+    # refused before the first step, in every stage, leaving the model as it was
+    model = init_model(SPEC, seed=1)
+    before = {k: v.copy() for k, v in model.params.items()}
+    ds = random_dataset(8)
+    setattr(ds, table, cut(getattr(ds, table)))
+    with pytest.raises(ShapeMismatchError, match=table):
+        train(model, ds, TrainConfig(stage=stage, epochs=1, batch_size=3, lr=1e-2))
+    assert all(np.array_equal(before[k], model.params[k]) for k in before)
+    assert model.epochs_trained == 0
+
+
 def test_training_bits_pinned():
     # every stage in turn on a small front-end table: each stage's final
     # loss and the trained parameters must not move by a single bit
@@ -254,7 +280,7 @@ def test_training_bits_pinned():
 @pytest.mark.parametrize("field, value", [
     ("stage", "warmup"), ("epochs", 0), ("epochs", -1), ("batch_size", 0),
     ("batch_size", -1), ("lr", -1e-4), ("lr", math.nan), ("lr", math.inf),
-    ("seed", -1),
+    ("seed", -1), ("lr", True), ("lr", "0.1"), ("lr", None), ("lr", 1j),
 ])
 def test_train_config_rejects_bad_values(field, value):
     # refused at construction, before a dataset or model is touched

@@ -41,26 +41,36 @@ def test_noise_variance_from_snr():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        scenario(theta0=math.pi / 2).validate()
+        scenario(theta0=math.pi / 2)
     with pytest.raises(ValueError):
-        scenario(snapshots=0).validate()
+        scenario(snapshots=0)
     # not real numbers: refused by name, not as a TypeError from abs() or
     # float(), and a bool is not taken as 1 rad
     for theta0 in (0.5j, True, None, "0.5", np.array(0.5j)):
         with pytest.raises(ConfigError, match="theta0"):
             scenario(theta0=theta0)
-    scenario(theta0=math.radians(89.9)).validate()
-    scenario(theta0=np.float32(0.7), snr_db=np.float64(3.0)).validate()
+    scenario(theta0=math.radians(89.9))
+    scenario(theta0=np.float32(0.7), snr_db=np.float64(3.0))
+    # the seed is a whole word of the streams' Philox key: a seed outside
+    # it would alias another seed's streams, and a numpy integer seed keys
+    # the same streams as the Python integer
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=f"seed={seed} "):
+            scenario(seed=seed)
+    for seed in (2**64 - 1, np.uint64(2**64 - 1), np.int64(5)):
+        blocks = simulate_groups(scenario(seed=seed, snapshots=8))
+        same = simulate_groups(scenario(seed=int(seed), snapshots=8))
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(blocks, same))
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 1001.0, -1001.0, None, "10", 5j, True])
 def test_scenario_rejects_undefined_snr(snr_db):
     with pytest.raises(ConfigError, match="snr_db"):
-        scenario(snr_db=snr_db).validate()
+        scenario(snr_db=snr_db)
 
 
 def test_scenario_accepts_noiseless_snr():
-    assert scenario(snr_db=math.inf).validate().noise_variance == 0.0
+    assert scenario(snr_db=math.inf).noise_variance == 0.0
 
 
 def test_derive_seed_deterministic_and_distinct():
