@@ -33,6 +33,9 @@ logger = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"MBDNN1"
 
+#: Largest model or training seed; a saved model's seed is a signed 64-bit field.
+MAX_MODEL_SEED = 2**63 - 1
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -170,8 +173,9 @@ class MlpModel:
 
 def init_model(spec: MlpSpec, seed: int = 0) -> MlpModel:
     """Fresh model: weights uniform in +-sqrt(6/(fan_in+fan_out)), zero biases;
-    a ``seed`` that is not an integer >= 0 raises ``ConfigError``."""
-    check_integer("seed", seed, 0)
+    a ``seed`` that is not an integer in ``[0, MAX_MODEL_SEED]`` raises
+    ``ConfigError``."""
+    check_integer("seed", seed, 0, MAX_MODEL_SEED)
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in spec.parameter_shapes():
@@ -299,10 +303,10 @@ class TrainConfig:
     """One training stage's hyperparameters (Adam throughout).
 
     Construction checks them: an unknown stage, an epoch count or batch
-    size that is not an integer of at least 1, a seed that is not one of
-    at least 0, or a learning rate that is not a finite real number of at
-    least 0 raises ``ConfigError``.  A learning rate of 0 is legal and
-    leaves the parameters unchanged.
+    size that is not an integer of at least 1, a seed that is not one in
+    ``[0, MAX_MODEL_SEED]``, or a learning rate that is not a finite real
+    number of at least 0 raises ``ConfigError``.  A learning rate of 0 is
+    legal and leaves the parameters unchanged.
     """
 
     stage: str
@@ -314,8 +318,9 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.stage not in STAGES:
             raise ConfigError(f"unknown stage {self.stage!r}, expected one of {STAGES}")
-        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+        for name, low in (("epochs", 1), ("batch_size", 1)):
             check_integer(name, getattr(self, name), low)
+        check_integer("seed", self.seed, 0, MAX_MODEL_SEED)
         check_real("lr", self.lr)
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ConfigError(f"lr={self.lr} must be finite and >= 0")

@@ -244,14 +244,15 @@ _INTEGER_FIELDS = {
     ("TrainConfig", "epochs"): (lambda v: TrainConfig("mb_fcnn", epochs=v), 2, (1, None)),
     ("TrainConfig", "batch_size"): (lambda v: TrainConfig("mb_fcnn", batch_size=v), 4,
                                     (1, None)),
-    ("TrainConfig", "seed"): (lambda v: TrainConfig("mb_fcnn", seed=v), 5, (0, None)),
+    ("TrainConfig", "seed"): (lambda v: TrainConfig("mb_fcnn", seed=v), 5,
+                              (0, 2**63 - 1)),  # a saved model's signed 64-bit field
     ("generate_dataset", "trials_per_cell"): (
         lambda v: generate_dataset(BASE_CFG, [40.0], [10.0], v, snapshots=32), 1, (1, None)),
     ("generate_dataset", "master_seed"): (
         lambda v: generate_dataset(BASE_CFG, [40.0], [10.0], 1, snapshots=32,
                                    master_seed=v), 3, (0, None)),
     ("init_model", "seed"): (lambda v: init_model(MlpSpec.from_config(BASE_CFG), v), 7,
-                             (0, None)),
+                             (0, 2**63 - 1)),
 }
 
 

@@ -753,6 +753,22 @@ def test_cli_numeric_flag_exit_codes(exit_files, tmp_path, capsys, command, flag
         assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("seed, code", [(2**63 - 1, 0), (2**63, 2)])
+def test_cli_train_seed_fits_the_model_file(exit_files, tmp_path, capsys, seed, code):
+    # a model file keeps its seed in a signed 64-bit field: 2**63 is refused
+    # before any training, 2**63 - 1 trains, saves and loads
+    fill = {**exit_files, "out": str(tmp_path / "m.mbdnn")}
+    base = [arg.format(**fill) for arg in _EXIT_BASE["train"]]
+    argv = ["train", "--config", exit_files["config"], *base, "--seed", str(seed)]
+    assert cli_main(argv) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert err.startswith("config error:") and "seed=" in err
+        assert "stage" not in out and not any(tmp_path.iterdir())
+    else:
+        assert mbdnn.load_model(tmp_path / "m.mbdnn").seed == seed
+
+
 # A cut-off input file exits with the code and message prefix of its
 # kind: 2 for a config, 3 for a model or a dataset.
 # Cuts that leave a loadable file are not drawn: a config that lost only

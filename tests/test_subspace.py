@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from h2ad_doa import subspace
 from h2ad_doa.array_model import ArrayConfig, gain_coefficient, virtual_steering
-from h2ad_doa.signal_sim import SimScenario, sample_covariance, simulate_group
+from h2ad_doa.signal_sim import SimScenario, derive_seed, sample_covariance, simulate_group
 from h2ad_doa.subspace import (
     _CERTIFIED_MIN_DEGREE,
     CandidateSet,
@@ -104,18 +104,25 @@ def random_hermitian(k, spike, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(k=st.integers(18, 64), spike=st.floats(0.0, 100.0), seed=st.integers(0, 2**32 - 1))
-def test_signal_eigenvector_build_matches_trace_build(k, spike, seed):
-    # any Hermitian covariance, with or without a dominant direction; the
+@given(k=st.integers(18, 64), groups=st.integers(1, 3),
+       spikes=st.lists(st.floats(0.0, 100.0), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_signal_eigenvector_build_matches_trace_build(k, groups, spikes, seed):
+    # any Hermitian covariances, with or without a dominant direction; the
     # trace build's noise basis comes from eigh, since from K_q = 18 on
-    # noise_subspace keeps none
-    cov = random_hermitian(k, spike, seed)
-    ns = noise_subspace(cov)
+    # noise_subspaces keeps none.  Each row is also exactly
+    # conjugate-palindromic with a real lag-0 term, bit for bit, as the
+    # certificate's root pairing needs.
+    covs = [random_hermitian(k, spikes[g], seed + g) for g in range(groups)]
+    ns = noise_subspaces(np.stack(covs))
     assert ns.basis is None
-    coeffs = _root_polynomials(ns.signal, ns.basis)[0]
-    assert coeffs.shape == (2 * k - 1,)
-    basis = np.linalg.eigh(cov)[1][:, -2::-1]
-    assert np.max(np.abs(coeffs - trace_polynomial(basis))) <= 1e-12 * k
+    coeffs = _root_polynomials(ns.signal, ns.basis)
+    assert coeffs.shape == (groups, 2 * k - 1)
+    assert np.array_equal(coeffs, coeffs[:, ::-1].conj())
+    assert np.all(coeffs[:, k - 1].imag == 0.0)
+    for row, cov in zip(coeffs, covs):
+        basis = np.linalg.eigh(cov)[1][:, -2::-1]
+        assert np.max(np.abs(row - trace_polynomial(basis))) <= 1e-12 * k
 
 
 def eigh_subspace(cov):
@@ -454,16 +461,76 @@ def test_certified_phase_agrees_with_np_roots_fuzz():
     assert certified >= 60 and fallback >= 10
 
 
-def sampled_sizes(monkeypatch):
+def sampled_sizes(monkeypatch, radii=None):
+    """Grid sizes of every winding count from now on; ``radii``, when
+    given, collects each count's radius."""
     sizes = []
     winding = subspace._winding_number
 
     def counting(asc, radius, size):
         sizes.append(size)
+        if radii is not None:
+            radii.append(radius)
         return winding(asc, radius, size)
 
     monkeypatch.setattr(subspace, "_winding_number", counting)
     return sizes
+
+
+def group_polynomial(k, snr_db, seed, q):
+    """Root-MUSIC polynomial of group ``q`` of (11,13,17)xk at 41 degrees."""
+    cfg = ArrayConfig(M=(11, 13, 17), K=(k, k, k))
+    sc = SimScenario(cfg=cfg, theta0=THETA41, snr_db=snr_db, snapshots=200, seed=seed)
+    ns = noise_subspace(sample_covariance(simulate_group(sc, q)))
+    return _root_polynomials(ns.signal, ns.basis)[0]
+
+
+def test_certified_fit_counts_on_one_circle(monkeypatch):
+    # one count at radius rho - gap proves the certificate; the root pairing
+    # puts the mirror of every counted root beyond 1/(rho - gap)
+    radii = []
+    sizes = sampled_sizes(monkeypatch, radii)
+    coeffs = group_polynomial(64, 0.0, 5, 1)
+    phase = _certified_signal_phase(coeffs)
+    assert phase is not None and wrapped(phase, _np_roots_phase(coeffs)) < 1e-12
+    asc = coeffs[::-1]
+    z = _newton_root(asc, _spectrum_minimum(asc))
+    rho = min(abs(z), 1.0 / abs(z))
+    assert len(set(radii)) == 1 and radii[0] == pytest.approx(2.0 * rho - 1.0, abs=1e-12)
+    assert 0 < sum(sizes) <= _certificate_points(coeffs.size - 1)
+
+
+@pytest.mark.parametrize("damage", ["one ulp", "zero ends"])
+def test_certificate_declines_row_without_exact_pairing(monkeypatch, damage):
+    # the pairing argument holds only for exactly conjugate-palindromic rows
+    # with nonzero ends; any other row is declined before anything is sampled
+    coeffs = group_polynomial(64, 0.0, 5, 1)
+    assert _certified_signal_phase(coeffs) is not None
+    if damage == "one ulp":
+        coeffs[3] = complex(np.nextafter(coeffs[3].real, np.inf), coeffs[3].imag)
+    else:
+        coeffs[0] = coeffs[-1] = 0.0
+    sizes = sampled_sizes(monkeypatch)
+    assert _certified_signal_phase(coeffs) is None
+    assert sizes == []
+
+
+@pytest.mark.parametrize("k, snr_db", [(24, 20.0), (24, 30.0), (32, 20.0), (32, 30.0),
+                                       (64, 20.0), (64, 30.0)])
+def test_high_snr_certified_phases_match_np_roots(k, snr_db):
+    # the signal root sits a few 1e-3 inside the circle at 20-30 dB; every
+    # fit that certifies agrees with np.roots, and at K_q = 64 the single
+    # count fits the sample budget
+    certified = 0
+    for t in range(10):
+        for q in range(3):
+            coeffs = group_polynomial(k, snr_db, derive_seed(3, 0, t), q)
+            phase = _certified_signal_phase(coeffs)
+            if phase is not None:
+                certified += 1
+                assert wrapped(phase, _np_roots_phase(coeffs)) < 1e-12
+    if (k, snr_db) == (64, 30.0):
+        assert certified >= 25
 
 
 def test_failed_certificate_stays_within_point_budget(monkeypatch):
