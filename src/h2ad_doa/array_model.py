@@ -89,8 +89,6 @@ class GroupGeometry:
 
     Parameters
     ----------
-    group_index : int
-        Position of the group in the configuration, 0-based.
     subarray_size : int
         Antennas per subarray (``M_q``).
     num_subarrays : int
@@ -101,7 +99,6 @@ class GroupGeometry:
         Carrier wavelength in meters.
     """
 
-    group_index: int
     subarray_size: int
     num_subarrays: int
     spacing: float
@@ -138,10 +135,13 @@ class ArrayConfig:
     wavelength: float = 1.0
 
     def __post_init__(self) -> None:
-        # tuples keep every config hashable, as the simulator's memo needs
+        # tuples and floats keep every config hashable, as the simulator's
+        # memo needs
         object.__setattr__(self, "M", tuple(self.M))
         object.__setattr__(self, "K", tuple(self.K))
         validate_config(self)
+        object.__setattr__(self, "d_over_lambda", float(self.d_over_lambda))
+        object.__setattr__(self, "wavelength", float(self.wavelength))
 
     @property
     def num_groups(self) -> int:
@@ -166,13 +166,12 @@ class ArrayConfig:
         # built on first use and kept: the config is frozen
         return tuple(
             GroupGeometry(
-                group_index=q,
                 subarray_size=m,
                 num_subarrays=k,
                 spacing=self.spacing,
                 wavelength=self.wavelength,
             )
-            for q, (m, k) in enumerate(zip(self.M, self.K))
+            for m, k in zip(self.M, self.K)
         )
 
 
@@ -187,8 +186,9 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
         If any ``M_q < 2`` or ``K_q < 2``.
     ConfigError
         On shape, type or sign problems (mismatched lists, an ``M_q`` or
-        ``K_q`` that :func:`check_integer` refuses, non-positive spacing
-        or wavelength), ``M_q`` above ``MAX_SUBARRAY_SIZE`` or ``K_q``
+        ``K_q`` that :func:`check_integer` refuses, a spacing or
+        wavelength that :func:`check_real` refuses or that is not finite
+        and positive), ``M_q`` above ``MAX_SUBARRAY_SIZE`` or ``K_q``
         above ``MAX_SUBARRAYS``, or element spacing above half a
         wavelength, where grating lobes alias the angle itself.
     """
@@ -209,6 +209,15 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
         for k in range(q + 1, len(cfg.M)):
             if math.gcd(cfg.M[q], cfg.M[k]) != 1:
                 raise NonCoprimeError(q, k, cfg.M[q], cfg.M[k])
+    for field in ("d_over_lambda", "wavelength"):
+        value = getattr(cfg, field)
+        check_real(field, value)
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{field}={value} must be finite")
     if not cfg.d_over_lambda > 0:
         raise ConfigError(f"d_over_lambda={cfg.d_over_lambda} must be positive")
     if not cfg.d_over_lambda <= 0.5:

@@ -20,7 +20,7 @@ from typing import Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from .array_model import ArrayConfig, ConfigError, check_integer
+from .array_model import ArrayConfig, ConfigError, check_integer, check_real
 from .fusion import (
     WEIGHTING_METHODS,
     AngleOutOfGuardError,
@@ -51,8 +51,8 @@ class BenchSpec:
     uniform subarray count ``K`` becomes a cell.  ``k_grid=None`` keeps
     the configuration's own subarray counts.  Construction checks the
     spec and builds every cell's scenario, so a spec that exists can be
-    swept; ``trials`` must be an integer of at least 1 and ``master_seed``
-    one of at least 0.
+    swept; ``theta0_deg`` must be a real number, ``trials`` an integer of
+    at least 1 and ``master_seed`` one of at least 0.
     """
 
     cfg: ArrayConfig
@@ -66,6 +66,7 @@ class BenchSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_real("theta0_deg", self.theta0_deg)
         check_integer("trials", self.trials, 1)
         check_integer("master_seed", self.master_seed, 0)
         empty_k = self.k_grid is not None and not self.k_grid

@@ -54,10 +54,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    for snap in simulate_groups(_scenario(args)):
-        path = f"{args.out}.group{snap.group_index}.npy"
-        np.save(path, snap.data)
-        print(f"wrote {path} ({snap.num_subarrays}x{snap.snapshots})")
+    for q, block in enumerate(simulate_groups(_scenario(args))):
+        path = f"{args.out}.group{q}.npy"
+        np.save(path, block)
+        print(f"wrote {path} ({block.shape[0]}x{block.shape[1]})")
     return 0
 
 
@@ -72,10 +72,9 @@ def _cmd_estimate(args) -> int:
                                                scenario.snapshots)
     result = {
         "candidates_deg": {
-            str(cs.group_index): [float(v) for v in np.degrees(cs.angles)]
-            for cs in sets
+            str(q): [float(v) for v in np.degrees(cs.angles)] for q, cs in enumerate(sets)
         },
-        "phase_rad": {str(cs.group_index): cs.phase_hat for cs in sets},
+        "phase_rad": {str(q): cs.phase_hat for q, cs in enumerate(sets)},
         "tuple_deg": [float(v) for v in np.degrees(ratio.selected.angles)],
         "tuple_indices": list(ratio.selected.member_indices),
         "dispersion_rad2": ratio.selected.dispersion,

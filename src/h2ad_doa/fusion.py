@@ -277,9 +277,8 @@ def candidates_from_covariances(
 ) -> tuple[CandidateSet, ...]:
     """Root and unfold one (K_q, K_q) covariance per group, in group order.
 
-    ``covs`` may be simulated, or recorded blocks through
-    :class:`~h2ad_doa.signal_sim.GroupSnapshots` and
-    :func:`sample_covariance`.  The groups that share a ``K_q`` go through
+    ``covs`` may be simulated, or :func:`sample_covariance` of recorded
+    ``(K_q, T)`` blocks.  The groups that share a ``K_q`` go through
     :func:`noise_subspaces` and :func:`root_music_phases` together; every
     candidate set equals the per-group chain's bit for bit.  If a stack
     fails, the same covariances are rooted again one group per stack, in

@@ -17,9 +17,10 @@ on the order groups are simulated in.  :func:`simulate_groups` draws the
 waveform once for all the groups of a trial; :func:`simulate_group` is its
 one-group case and gives the same bytes.
 
-Recorded blocks enter as data: ``h2ad-doa simulate`` saves each block
-with ``np.save``, ``GroupSnapshots(q, np.load(path))`` wraps one again,
-and :func:`sample_covariance` of each group feeds
+A snapshot block is a plain complex ``(K_q, T)`` array, and a group is
+its position in the tuple of blocks.  Recorded blocks enter as data:
+``h2ad-doa simulate`` saves each block with ``np.save``, and
+:func:`sample_covariance` of each ``np.load`` result, in group order, feeds
 :func:`~h2ad_doa.fusion.candidates_from_covariances`, the front end that
 a simulated trial goes through as well.  If a stack fails there, it roots
 the same covariances again one group at a time, so a trial is drawn once,
@@ -192,22 +193,6 @@ class SimScenario:
         return float(10.0 ** (-self.snr_db / 10.0))
 
 
-@dataclass(frozen=True)
-class GroupSnapshots:
-    """Snapshot block of one group: complex matrix of shape (K_q, T)."""
-
-    group_index: int
-    data: np.ndarray
-
-    @property
-    def num_subarrays(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def snapshots(self) -> int:
-        return self.data.shape[1]
-
-
 def derive_seed(master_seed: int, *path: int) -> int:
     """Child seed for a (cell, trial, ...) coordinate under a master seed.
 
@@ -222,15 +207,11 @@ def _key(seed: int, stream_id: int) -> np.ndarray:
     return np.array([seed, stream_id], dtype=np.uint64)
 
 
-def _stream(seed: int, stream_id: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream id)."""
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream_id)))
-
-
 def _rekeyed(bitgen: np.random.Philox, seed: int, stream_id: int) -> np.random.Generator:
     """``bitgen`` reset to the state ``Philox(key=...)`` starts in for
-    (seed, stream id), behind a new Generator: the stream of
-    :func:`_stream`, bit for bit, whatever ``bitgen`` drew before."""
+    (seed, stream id), behind a new Generator: the stream of a fresh
+    ``Philox(key=[seed, stream_id])``, bit for bit, whatever ``bitgen``
+    drew before."""
     bitgen.state = {
         "bit_generator": "Philox",
         "state": {"counter": _ZERO_WORDS, "key": _key(seed, stream_id)},
@@ -243,9 +224,8 @@ def _rekeyed(bitgen: np.random.Philox, seed: int, stream_id: int) -> np.random.G
 
 
 def _generator(seed: int, stream_id: int) -> np.random.Generator:
-    """The calling thread's Philox re-keyed to (seed, stream id): the
-    stream of :func:`_stream`, bit for bit.  A thread's first call builds
-    its Philox."""
+    """The calling thread's Philox re-keyed to (seed, stream id) by
+    :func:`_rekeyed`.  A thread's first call builds its Philox."""
     try:
         bitgen = _local.philox
     except AttributeError:
@@ -327,7 +307,7 @@ def emitter_waveform(scenario: SimScenario) -> np.ndarray:
 def simulate_groups(
     scenario: SimScenario,
     groups: Iterable[int] | None = None,
-    reduce: Callable[[GroupSnapshots], Any] | None = None,
+    reduce: Callable[[np.ndarray], Any] | None = None,
 ) -> tuple:
     """Simulate the snapshot blocks of ``groups`` (default: all, in order).
 
@@ -340,8 +320,9 @@ def simulate_groups(
 
     Returns
     -------
-    tuple of GroupSnapshots, or of what ``reduce`` returns
-        ``data[k, n]`` is subarray ``k`` of group ``q`` at snapshot ``n``.
+    tuple of ndarray, or of what ``reduce`` returns
+        One complex ``(K_q, T)`` block per group of ``groups``, in that
+        order: ``block[k, n]`` is subarray ``k`` at snapshot ``n``.
     """
     x = emitter_waveform(scenario)
     sigma_v = np.sqrt(scenario.noise_variance)
@@ -360,8 +341,7 @@ def simulate_groups(
         np.multiply(amplitude, data, out=data)
         np.multiply(sigma_v, noise, out=noise)
         data += noise
-        block = GroupSnapshots(group_index=q, data=data)
-        return block if reduce is None else reduce(block)
+        return data if reduce is None else reduce(data)
 
     samples = scenario.snapshots * sum(scenario.cfg.K[q] for q in groups)
     if samples < FAN_OUT_MIN_BLOCK * len(groups):
@@ -386,16 +366,17 @@ def _group_constants(
     return tuple(constants)
 
 
-def simulate_group(scenario: SimScenario, q: int) -> GroupSnapshots:
-    """Simulate the snapshot block of group ``q`` (see :func:`simulate_groups`)."""
+def simulate_group(scenario: SimScenario, q: int) -> np.ndarray:
+    """Simulate the ``(K_q, T)`` snapshot block of group ``q`` (see
+    :func:`simulate_groups`)."""
     return simulate_groups(scenario, (q,))[0]
 
 
-def sample_covariance(snap: GroupSnapshots) -> np.ndarray:
-    """Sample covariance ``(1/T) * S @ S^H``, forced exactly Hermitian."""
-    s = snap.data
-    r = s @ s.conj().T
-    r /= snap.snapshots
+def sample_covariance(block: np.ndarray) -> np.ndarray:
+    """Sample covariance ``(1/T) * S @ S^H`` of a ``(K_q, T)`` block ``S``,
+    forced exactly Hermitian."""
+    r = block @ block.conj().T
+    r /= block.shape[1]
     r += r.conj().T
     r /= 2.0
     return r

@@ -118,7 +118,6 @@ class CandidateSet:
     angle; the rest are the group's pseudo-solutions.
     """
 
-    group_index: int
     phase_hat: float
     angles: np.ndarray
 
@@ -617,9 +616,5 @@ def enumerate_candidates(phase_hat: float, geom: GroupGeometry) -> CandidateSet:
         # Boundary fold: one alias too many; shed the outermost.
         order = sorted(range(sines.size), key=lambda i: (abs(sines[i]), sines[i]))
         sines = np.delete(sines, order[-1])
-    return CandidateSet(
-        group_index=geom.group_index,
-        phase_hat=phase_hat,
-        angles=np.arcsin(sines),
-    )
+    return CandidateSet(phase_hat=phase_hat, angles=np.arcsin(sines))
 

@@ -1,6 +1,7 @@
-"""Test-only simulation oracles: the infinite-snapshot covariance,
-noise-only snapshot blocks, the large-``M_q`` closed-form CRLB, an out-of-place
-candidate unfold and an uncached per-group chain of the whole estimate."""
+"""Test-only simulation oracles: a freshly keyed Philox stream, the
+infinite-snapshot covariance, noise-only snapshot blocks, the large-``M_q``
+closed-form CRLB, an out-of-place candidate unfold and an uncached
+per-group chain of the whole estimate."""
 
 import math
 
@@ -10,13 +11,18 @@ from h2ad_doa.array_model import ArrayConfig, gain_coefficient, virtual_steering
 from h2ad_doa.fusion import _guard_angle, fused_crlb, weights_crlb_ratio, weights_exact
 from h2ad_doa.signal_sim import (
     _EMITTER_STREAM,
-    GroupSnapshots,
     _complex_normal,
-    _stream,
     check_operating_point,
     sample_covariance,
 )
 from h2ad_doa.subspace import enumerate_candidates, noise_subspace, root_music_phase
+
+
+def philox_stream(seed, stream_id):
+    """A Philox generator built and keyed for (seed, stream id): the
+    reference that ``signal_sim``'s re-keyed generator must match."""
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def exact_covariance(scenario, q):
@@ -38,9 +44,9 @@ def noise_only_snapshots(scenario, q):
     ``simulate_group`` adds, drawn from the same ``(seed, q)`` stream."""
     geom = scenario.cfg.group(q)
     noise = _complex_normal(
-        _stream(scenario.seed, q), (geom.num_subarrays, scenario.snapshots)
+        philox_stream(scenario.seed, q), (geom.num_subarrays, scenario.snapshots)
     )
-    return GroupSnapshots(group_index=q, data=np.sqrt(scenario.noise_variance) * noise)
+    return np.sqrt(scenario.noise_variance) * noise
 
 
 def crlb_group_approx(
@@ -79,12 +85,11 @@ def uncached_snapshots(scenario, q):
     geom = scenario.cfg.group(q)
     amplitude = gain_coefficient(geom, scenario.theta0) / np.sqrt(geom.subarray_size)
     steer = virtual_steering(geom, scenario.theta0)
-    x = _complex_normal(_stream(scenario.seed, _EMITTER_STREAM), (scenario.snapshots,))
+    x = _complex_normal(philox_stream(scenario.seed, _EMITTER_STREAM), (scenario.snapshots,))
     noise = _complex_normal(
-        _stream(scenario.seed, q), (geom.num_subarrays, scenario.snapshots)
+        philox_stream(scenario.seed, q), (geom.num_subarrays, scenario.snapshots)
     )
-    data = amplitude * np.outer(steer, x) + np.sqrt(scenario.noise_variance) * noise
-    return GroupSnapshots(group_index=q, data=data)
+    return amplitude * np.outer(steer, x) + np.sqrt(scenario.noise_variance) * noise
 
 
 def masked_candidates(phase_hat, geom):

@@ -56,6 +56,12 @@ def test_validate_accepts_base_config():
         (dict(M=(7, 11), K=(16, 16), wavelength=-1.0), ConfigError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda=0.7), ConfigError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda=math.inf), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), wavelength=math.inf), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), wavelength=10**400), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), wavelength=True), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), wavelength=1j), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), d_over_lambda="0.5"), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), d_over_lambda=None), ConfigError),
         (dict(M=(10**30 + 1, 11, 13), K=(16, 16, 16)), ConfigError),
         (dict(M=(257, 11), K=(16, 16)), ConfigError),
         (dict(M=(7, 11, 13), K=(10**6, 16, 16)), ConfigError),

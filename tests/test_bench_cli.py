@@ -36,7 +36,7 @@ from h2ad_doa.fusion import (
     fuse_candidates,
     group_candidates,
 )
-from h2ad_doa.signal_sim import GroupSnapshots, SimScenario, sample_covariance, simulate_groups
+from h2ad_doa.signal_sim import SimScenario, sample_covariance, simulate_groups
 
 from mlp_oracles import foreign_dataset_files
 
@@ -79,6 +79,10 @@ def test_spec_validation():
         tiny_spec(k_grid=(16, 1))
     with pytest.raises(ConfigError, match="master_seed"):
         tiny_spec(master_seed=-1)
+    # a bool angle would sweep 1 degree, and a string raised TypeError
+    for theta0_deg in (True, "41"):
+        with pytest.raises(ConfigError, match="theta0_deg"):
+            tiny_spec(theta0_deg=theta0_deg)
 
 
 def test_run_sweep_row_grid():
@@ -468,10 +472,10 @@ def test_cli_simulate_writes_per_group_files(cfg_file, tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     blocks = simulate_groups(SimScenario(BASE_CFG, math.radians(41.0), 0.0, 16))
     assert printed == [f"wrote {out}.group{q}.npy (16x16)" for q in range(3)]
-    for q, snap in enumerate(blocks):
+    for q, block in enumerate(blocks):
         data = np.load(f"{out}.group{q}.npy")
         assert data.dtype == np.complex128 and data.shape == (16, 16)
-        assert data.tobytes() == snap.data.tobytes()
+        assert data.tobytes() == block.tobytes()
 
 
 def _outcome(fn):
@@ -487,21 +491,19 @@ def _outcome(fn):
 @pytest.mark.parametrize("snr_db", [-5.0, 10.0, math.inf])
 def test_simulated_files_estimate_like_the_scenario(tmp_path, snr_db):
     # recorded blocks reach the estimator through the API: np.load,
-    # GroupSnapshots, sample_covariance, candidates_from_covariances, then
+    # sample_covariance, candidates_from_covariances, then
     # the one back end; K_q = 20 takes the certified rooting path
     cfg = ArrayConfig(M=(7, 11, 13), K=(8, 20, 12))
     save_config(cfg, tmp_path / "cfg.json")
     out = str(tmp_path / "sim")
     assert cli_main(["simulate", "--config", str(tmp_path / "cfg.json"),
                      f"--snr-db={snr_db}", "--seed", "4", "--out", out]) == 0
-    covs = [sample_covariance(GroupSnapshots(q, np.load(f"{out}.group{q}.npy")))
-            for q in range(3)]
+    covs = [sample_covariance(np.load(f"{out}.group{q}.npy")) for q in range(3)]
     sets = candidates_from_covariances(cfg, covs)
     scenario = SimScenario(cfg, math.radians(41.0), snr_db, 200, seed=4)
     reference = group_candidates(scenario)
     assert len(sets) == len(reference)
     for got, ref in zip(sets, reference):
-        assert got.group_index == ref.group_index
         assert np.float64(got.phase_hat).tobytes() == np.float64(ref.phase_hat).tobytes()
         assert got.angles.tobytes() == ref.angles.tobytes()
     # crlb_ratio from the config alone, exact_crlb given the scenario's SNR

@@ -29,7 +29,7 @@ from h2ad_doa.fusion import (
     weights_exact,
 )
 from h2ad_doa import fusion, signal_sim
-from h2ad_doa.signal_sim import SimScenario, simulate_group
+from h2ad_doa.signal_sim import SimScenario, simulate_group, simulate_groups
 from h2ad_doa.subspace import (
     DegenerateSpectrumError,
     NoRootFoundError,
@@ -296,7 +296,7 @@ def test_noiseless_bounds_fuse_to_zero_and_refuse_exact_weights():
 
 def test_group_failure_wraps_cause(monkeypatch):
     monkeypatch.setattr(
-        "h2ad_doa.fusion.sample_covariance", lambda snap: np.eye(16, dtype=complex)
+        "h2ad_doa.fusion.sample_covariance", lambda block: np.eye(16, dtype=complex)
     )
     with pytest.raises(GroupFailureError) as info:
         group_candidates(scenario())
@@ -346,7 +346,6 @@ def test_group_candidates_match_per_group_chain_bytes(ks, q, snr_db, theta, snap
     sets = group_candidates(sc)
     assert len(sets) == len(reference)
     for got, ref in zip(sets, reference):
-        assert got.group_index == ref.group_index
         assert type(got.phase_hat) is float
         assert np.float64(got.phase_hat).tobytes() == np.float64(ref.phase_hat).tobytes()
         assert got.angles.tobytes() == ref.angles.tobytes()
@@ -386,13 +385,14 @@ def test_stacked_failure_names_first_failing_group(monkeypatch, k, broken, label
     # at a time, so the label and cause are those of the per-group chain,
     # and the trial is drawn once: one simulate pass, one emitter draw
     real = fusion.sample_covariance
+    sc = scenario(cfg=ArrayConfig(M=(7, 11, 13), K=k), snr_db=10.0)
+    group_of = {block.tobytes(): q for q, block in enumerate(simulate_groups(sc))}
 
-    def covariance(snap):
-        kind = broken.get(snap.group_index)
-        return real(snap) if kind is None else broken_covariance(snap.num_subarrays, kind)
+    def covariance(block):
+        kind = broken.get(group_of[block.tobytes()])
+        return real(block) if kind is None else broken_covariance(block.shape[0], kind)
 
     monkeypatch.setattr("h2ad_doa.fusion.sample_covariance", covariance)
-    sc = scenario(cfg=ArrayConfig(M=(7, 11, 13), K=k), snr_db=10.0)
     q, err = chained_candidates(sc, covariance)
     assert (q, type(err)) == (label, cause)
     passes, draws = [], []
@@ -459,33 +459,37 @@ def test_draw_task_exception_is_the_first_failing_groups(monkeypatch, raising, l
     # the blocks are drawn across threads, yet a covariance that raises
     # surfaces as the serial loop's would: the lowest failing group's,
     # unwrapped and after one pass
+    sc = scenario(snr_db=10.0)
+    group_of = {block.tobytes(): q for q, block in enumerate(simulate_groups(sc))}
     monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
     real = fusion.sample_covariance
 
-    def covariance(snap):
-        if snap.group_index in raising:
-            raise ZeroDivisionError(f"group {snap.group_index}")
-        return real(snap)
+    def covariance(block):
+        q = group_of[block.tobytes()]
+        if q in raising:
+            raise ZeroDivisionError(f"group {q}")
+        return real(block)
 
     monkeypatch.setattr("h2ad_doa.fusion.sample_covariance", covariance)
     with pytest.raises(ZeroDivisionError, match=f"^group {label}$"):
-        group_candidates(scenario(snr_db=10.0))
+        group_candidates(sc)
 
 
 @pytest.mark.parametrize("over", ["ignore", "raise"])
 def test_caller_errstate_holds_in_every_draw_task(monkeypatch, over):
     # np.errstate is context-local: each group's covariance, whichever
     # thread forms it, overflows under the caller's setting
+    sc = scenario(snr_db=10.0, seed=5)
+    group_of = {block.tobytes(): q for q, block in enumerate(simulate_groups(sc))}
     monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
     real = fusion.sample_covariance
     seen = {}
 
-    def covariance(snap):
-        seen[snap.group_index] = np.geterr()["over"]
+    def covariance(block):
+        seen[group_of[block.tobytes()]] = np.geterr()["over"]
         np.multiply(np.float64(1e308), 10.0)
-        return real(snap)
+        return real(block)
 
-    sc = scenario(snr_db=10.0, seed=5)
     reference = estimate_doa(sc).theta_hat
     monkeypatch.setattr("h2ad_doa.fusion.sample_covariance", covariance)
     with np.errstate(over=over):

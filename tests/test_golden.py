@@ -79,6 +79,46 @@ def test_benchmark_imports_resolve():
     assert missing == []
 
 
+#: Runs in perfbench's worker: every workload's first ``STEPWISE_CHECKS``
+#: trials stepped through the layer functions against ``estimate_doa``, and
+#: its noiseless controls.  Prints the checks that failed.
+_STEPWISE_CHILD = """
+from tracer import Tracer
+from worker import (STEPWISE_CHECKS, WORKLOADS, attempt, control_checks, run_api,
+                    run_traced, same_result)
+
+failed = []
+for name, wl in WORKLOADS.items():
+    for j in range(STEPWISE_CHECKS):
+        sc, method, _ = wl.trial(1, j)
+        if not same_result(attempt(run_traced, Tracer(), sc, method, []),
+                           attempt(run_api, sc, method)):
+            failed.append(f"{name} trial {j}")
+    if not control_checks(wl, 1)["controls_ok"]:
+        failed.append(f"{name} controls")
+print(failed)
+"""
+
+
+def test_benchmark_stepwise_chain_matches_api():
+    # The benchmark steps each trial through the public layer functions by
+    # hand and needs the same bits as estimate_doa; its smoke run is not
+    # part of this suite, so a layer whose result changed type or meaning
+    # would otherwise break it unseen.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STEPWISE_CHILD],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_package_all_names_import():
     namespace = {}
     exec("from h2ad_doa import *", namespace)

@@ -19,10 +19,9 @@ from h2ad_doa.signal_sim import (
     simulate_group,
     simulate_groups,
     _rekeyed,
-    _stream,
 )
 
-from sim_oracles import exact_covariance, noise_only_snapshots
+from sim_oracles import exact_covariance, noise_only_snapshots, philox_stream
 
 BASE_CFG = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 
@@ -60,7 +59,7 @@ def test_scenario_validation():
     for seed in (2**64 - 1, np.uint64(2**64 - 1), np.int64(5)):
         blocks = simulate_groups(scenario(seed=seed, snapshots=8))
         same = simulate_groups(scenario(seed=int(seed), snapshots=8))
-        assert all(np.array_equal(a.data, b.data) for a, b in zip(blocks, same))
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, same))
 
 
 @pytest.mark.parametrize("snr_db", [math.nan, -math.inf, 1001.0, -1001.0, None, "10", 5j, True])
@@ -82,9 +81,9 @@ def test_derive_seed_deterministic_and_distinct():
 
 
 def test_simulation_reproducible_bitwise():
-    a = simulate_group(scenario(), 1).data
-    b = simulate_group(scenario(), 1).data
-    c = simulate_group(scenario(seed=1), 1).data
+    a = simulate_group(scenario(), 1)
+    b = simulate_group(scenario(), 1)
+    c = simulate_group(scenario(seed=1), 1)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -101,8 +100,8 @@ def reference_simulation(sc, q):
     geom = sc.cfg.group(q)
     gain = gain_coefficient(geom, sc.theta0)
     steer = virtual_steering(geom, sc.theta0)
-    x = complex_normal(_stream(sc.seed, _EMITTER_STREAM), sc.snapshots)
-    noise = complex_normal(_stream(sc.seed, q), (geom.num_subarrays, sc.snapshots))
+    x = complex_normal(philox_stream(sc.seed, _EMITTER_STREAM), sc.snapshots)
+    noise = complex_normal(philox_stream(sc.seed, q), (geom.num_subarrays, sc.snapshots))
     sigma_v = np.sqrt(sc.noise_variance)
     amplitude = 1.0 * gain / np.sqrt(geom.subarray_size)
     data = amplitude * np.outer(steer, x) + sigma_v * noise
@@ -118,10 +117,10 @@ def test_synthesis_bytes_match_reference_expressions(k, snr_db):
         sc = scenario(cfg=cfg, theta0=theta, snr_db=snr_db, seed=seed)
         for q in range(3):
             x, data, cov = reference_simulation(sc, q)
-            snap = simulate_group(sc, q)
+            block = simulate_group(sc, q)
             assert emitter_waveform(sc).tobytes() == x.tobytes()
-            assert snap.data.tobytes() == data.tobytes()
-            assert sample_covariance(snap).tobytes() == cov.tobytes()
+            assert block.tobytes() == data.tobytes()
+            assert sample_covariance(block).tobytes() == cov.tobytes()
 
 
 def _draws(rng, shapes):
@@ -157,7 +156,8 @@ def test_rekeyed_bit_generator_equals_fresh_philox(seed, stream_id, previous, ra
     rekeyed = _rekeyed(bitgen, seed, stream_id)
     fresh = np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64))
     assert _draws(rekeyed, shapes) == _draws(np.random.Generator(fresh), shapes)
-    assert _draws(_rekeyed(bitgen, seed, stream_id), shapes) == _draws(_stream(seed, stream_id), shapes)
+    assert (_draws(_rekeyed(bitgen, seed, stream_id), shapes)
+            == _draws(philox_stream(seed, stream_id), shapes))
 
 
 def test_warmed_trial_builds_no_bit_generator(monkeypatch):
@@ -235,12 +235,18 @@ def test_memoised_group_constants_equal_fresh_ones(first, theta):
 
 def test_sequence_config_and_array_angle_simulate_like_tuple_and_float():
     # the memo keys need hashable values: a config built from lists stores
-    # tuples, and a 0-d array angle is read as its float
+    # tuples, one built from a 0-d array spacing and a numpy wavelength
+    # stores floats, and a 0-d array angle is read as its float
     listed = ArrayConfig(M=[7, 11, 13], K=np.array([16, 16, 16]))
     assert (listed.M, listed.K) == (BASE_CFG.M, BASE_CFG.K)
-    reference = [b.data.tobytes() for b in simulate_groups(scenario())]
-    for sc in (scenario(cfg=listed), scenario(theta0=np.array(math.radians(41.0)))):
-        assert [b.data.tobytes() for b in simulate_groups(sc)] == reference
+    arrayed = ArrayConfig(M=BASE_CFG.M, K=BASE_CFG.K, d_over_lambda=np.array(0.5),
+                          wavelength=np.float32(1.0))
+    assert (type(arrayed.d_over_lambda), type(arrayed.wavelength)) == (float, float)
+    assert arrayed == BASE_CFG
+    reference = [b.tobytes() for b in simulate_groups(scenario())]
+    for sc in (scenario(cfg=listed), scenario(cfg=arrayed),
+               scenario(theta0=np.array(math.radians(41.0)))):
+        assert [b.tobytes() for b in simulate_groups(sc)] == reference
 
 
 def test_group_constants_cache_is_bounded():
@@ -256,9 +262,7 @@ def test_group_constants_cache_is_bounded():
 
 def test_group_shapes():
     for q, k in enumerate(BASE_CFG.K):
-        snap = simulate_group(scenario(), q)
-        assert snap.data.shape == (k, 200)
-        assert snap.group_index == q
+        assert simulate_group(scenario(), q).shape == (k, 200)
 
 
 def test_emitter_waveform_shared_across_groups():
@@ -270,10 +274,10 @@ def test_emitter_waveform_shared_across_groups():
     recovered = []
     for q in range(3):
         geom = BASE_CFG.group(q)
-        snap = simulate_group(sc, q)
+        block = simulate_group(sc, q)
         amp = gain_coefficient(geom, sc.theta0) / math.sqrt(geom.subarray_size)
         steer = virtual_steering(geom, sc.theta0)
-        est = steer.conj() @ snap.data / (np.linalg.norm(steer) ** 2 * amp)
+        est = steer.conj() @ block / (np.linalg.norm(steer) ** 2 * amp)
         recovered.append(est)
     assert np.allclose(recovered[0], x, atol=1e-8)
     assert np.allclose(recovered[1], recovered[2], atol=1e-8)
@@ -281,15 +285,14 @@ def test_emitter_waveform_shared_across_groups():
 
 def test_noise_only_variance():
     sc = scenario(snr_db=3.0, snapshots=4000)
-    snap = noise_only_snapshots(sc, 0)
-    var = np.mean(np.abs(snap.data) ** 2)
+    var = np.mean(np.abs(noise_only_snapshots(sc, 0)) ** 2)
     assert var == pytest.approx(sc.noise_variance, rel=0.05)
 
 
 def test_noise_independent_across_groups():
     sc = scenario(snapshots=2000)
-    a = noise_only_snapshots(sc, 0).data
-    b = noise_only_snapshots(sc, 1).data
+    a = noise_only_snapshots(sc, 0)
+    b = noise_only_snapshots(sc, 1)
     corr = np.vdot(a[:11].ravel(), b[:11, : a.shape[1]].ravel()) / a[:11].size
     assert abs(corr) < 0.05
 
