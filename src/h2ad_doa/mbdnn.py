@@ -9,8 +9,11 @@ per-group predictions into the DOA estimate.
 
 Everything is plain numpy in float64: explicit forward pass, explicit
 backprop, and a hand-rolled Adam loop, so training is bit-reproducible
-from a seed.  Angles are handled in degrees throughout this module; the
-candidate sets coming from the subspace stage are converted on entry.
+from a seed; a stage trains exactly the parameters its loss has gradients
+for.  A model file is one :func:`_header` and the float64 parameters, and
+every file :func:`load_model` refuses raises :class:`ModelFormatError`.
+Angles are handled in degrees throughout this module; the candidate sets
+coming from the subspace stage are converted on entry.
 """
 
 from __future__ import annotations
@@ -61,19 +64,7 @@ class NonFiniteLossError(RuntimeError):
 
 
 class ModelFormatError(IOError):
-    """A model file that cannot be loaded."""
-
-
-class BadMagicError(ModelFormatError):
-    pass
-
-
-class DimMismatchError(ModelFormatError):
-    pass
-
-
-class TruncatedFileError(ModelFormatError):
-    pass
+    """A model file that cannot be loaded; every refusal of :func:`load_model`."""
 
 
 @dataclass(frozen=True)
@@ -152,23 +143,6 @@ class MlpModel:
     stage_losses: dict[str, float] = field(
         default_factory=lambda: {s: float("nan") for s in STAGES}
     )
-
-    def trained_names(self, stage: str) -> list[str]:
-        """Parameters that training ``stage`` updates, in declared order.
-
-        ``mb_fcnn`` trains the backbone (everything but the final fusion
-        layer), ``fusion_net`` only that layer, ``joint`` everything.
-        """
-        names = [n for n, _ in self.spec.parameter_shapes()]
-        fusion = ["fusion_w", "fusion_b"]
-        table = {
-            "mb_fcnn": [n for n in names if n not in fusion],
-            "fusion_net": fusion,
-            "joint": names,
-        }
-        if stage not in table:
-            raise ValueError(f"unknown stage {stage!r}, expected one of {STAGES}")
-        return table[stage]
 
 
 def init_model(spec: MlpSpec, seed: int = 0) -> MlpModel:
@@ -272,7 +246,8 @@ def _stage_loss_and_grads(
 
     ``mb_fcnn`` fits the head to the per-group labels, ``fusion_net`` the
     fused output to the true angle, and ``joint`` the head to the fused
-    output (self-consistency).
+    output (self-consistency).  The gradients are exactly what the stage
+    trains: the backbone, only ``fusion_w`` and ``fusion_b``, or everything.
     """
     cache = forward(model, x)
     head, fused = cache["head"], cache["fused"]
@@ -481,7 +456,8 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
     ``mb_fcnn`` fits the branch/merge/head stack to the per-group
     labels; ``fusion_net`` fits only the final linear layer to the true
     angle with the backbone frozen; ``joint`` fine-tunes everything on
-    the self-consistency loss.
+    the self-consistency loss.  A stage trains exactly the parameters its
+    loss has gradients for, and Adam keeps moments for those alone.
 
     A dataset without one model-length feature row, one label per group
     and one true angle per sample raises ``ShapeMismatchError`` first.
@@ -506,9 +482,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
                 f"dataset {name} shape {actual}, expected {shape} for {rows} "
                 f"samples of {groups} groups"
             )
-    trained = model.trained_names(cfg.stage)
-    adam_m = {n: np.zeros_like(model.params[n]) for n in trained}
-    adam_v = {n: np.zeros_like(model.params[n]) for n in trained}
+    adam_m, adam_v = {}, {}  # Adam moments of each parameter in the gradients
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
     step = 0
@@ -528,10 +502,9 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
                 raise NonFiniteLossError(cfg.stage, epoch, value)
             epoch_loss += value * batch.size
             step += 1
-            for name in trained:
-                g = grads[name]
-                adam_m[name] = ADAM_BETA1 * adam_m[name] + (1 - ADAM_BETA1) * g
-                adam_v[name] = ADAM_BETA2 * adam_v[name] + (1 - ADAM_BETA2) * g**2
+            for name, g in grads.items():
+                adam_m[name] = ADAM_BETA1 * adam_m.get(name, 0.0) + (1 - ADAM_BETA1) * g
+                adam_v[name] = ADAM_BETA2 * adam_v.get(name, 0.0) + (1 - ADAM_BETA2) * g**2
                 m_hat = adam_m[name] / (1 - ADAM_BETA1**step)
                 v_hat = adam_v[name] / (1 - ADAM_BETA2**step)
                 model.params[name] -= cfg.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -547,73 +520,70 @@ def predict_doa(model: MlpModel, sets: Sequence[CandidateSet]) -> float:
     return float(forward(model, features)["fused"][0])
 
 
-_FIXED_HEADER = struct.Struct("<6sI")  # magic, Q
-_TAIL = struct.Struct("<IQqI3d")  # after M: merge width, params, seed, epochs, STAGES losses
+_MAGIC_AND_Q = "<6sI"
+
+
+def _header(num_groups: int) -> struct.Struct:
+    """The model file header for ``num_groups`` groups, little-endian with
+    no padding: magic, Q, the Q subarray sizes, merge width, parameter
+    count, seed, epochs trained and the loss of each of :data:`STAGES`."""
+    return struct.Struct(f"{_MAGIC_AND_Q}{num_groups}IIQqI3d")
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Serialize: magic, dims, provenance, then tensors in declared order."""
+    """Write ``model`` to ``path``: its :func:`_header`, then every parameter
+    as little-endian float64 in :meth:`MlpSpec.parameter_shapes` order."""
     spec = model.spec
-    head = [_FIXED_HEADER.pack(MODEL_MAGIC, spec.num_groups)]
-    head.append(struct.pack(f"<{spec.num_groups}I", *spec.M))
-    head.append(
-        _TAIL.pack(
-            spec.merge_width,
-            spec.parameter_count,
-            model.seed,
-            model.epochs_trained,
-            *[model.stage_losses.get(s, float("nan")) for s in STAGES],
-        )
+    header = _header(spec.num_groups).pack(
+        MODEL_MAGIC, spec.num_groups, *spec.M, spec.merge_width, spec.parameter_count,
+        model.seed, model.epochs_trained,
+        *[model.stage_losses.get(s, float("nan")) for s in STAGES],
     )
     with open(path, "wb") as fh:
-        fh.writelines(head)
+        fh.write(header)
         for name, _ in spec.parameter_shapes():
             fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
 
 
 def load_model(path) -> MlpModel:
-    """Read a model file, validating magic, dimensions, and payload size."""
+    """Read a model file written by :func:`save_model`.  ``ModelFormatError``
+    refuses a file cut short, bad magic, a group count outside [1, 1024], a
+    subarray size below 2, header dims other than its M's layout, or
+    trailing bytes, and ``OSError`` a file that cannot be read."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < _FIXED_HEADER.size:
-        raise TruncatedFileError(f"{path}: shorter than the fixed header")
-    magic, num_groups = _FIXED_HEADER.unpack_from(blob)
+    if len(blob) < struct.calcsize(_MAGIC_AND_Q):
+        raise ModelFormatError(f"{path}: shorter than the fixed header")
+    magic, num_groups = struct.unpack_from(_MAGIC_AND_Q, blob)
     if magic != MODEL_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
+        raise ModelFormatError(f"{path}: bad magic {magic!r}")
     if not 1 <= num_groups <= 1024:
-        raise DimMismatchError(f"{path}: implausible group count {num_groups}")
-    offset = _FIXED_HEADER.size
-    if len(blob) < offset + 4 * num_groups + _TAIL.size:
-        raise TruncatedFileError(f"{path}: header cut short")
-    m_values = struct.unpack_from(f"<{num_groups}I", blob, offset)
-    offset += 4 * num_groups
-    merge_width, total_params, seed, epochs, *losses = _TAIL.unpack_from(blob, offset)
-    offset += _TAIL.size
+        raise ModelFormatError(f"{path}: implausible group count {num_groups}")
+    header = _header(num_groups)
+    if len(blob) < header.size:
+        raise ModelFormatError(f"{path}: header cut short")
+    fields = header.unpack_from(blob)
+    m_values = fields[2: 2 + num_groups]
+    merge_width, total_params, seed, epochs, *losses = fields[2 + num_groups:]
     if any(m < 2 for m in m_values):
-        raise DimMismatchError(f"{path}: subarray sizes {m_values} out of range")
-    spec = MlpSpec(M=tuple(int(m) for m in m_values))
+        raise ModelFormatError(f"{path}: subarray sizes {m_values} out of range")
+    spec = MlpSpec(M=m_values)
     if merge_width != spec.merge_width or total_params != spec.parameter_count:
-        raise DimMismatchError(
+        raise ModelFormatError(
             f"{path}: header dims disagree with layout derived from M={m_values}"
         )
-    expected = total_params * 8
-    payload = blob[offset:]
-    if len(payload) < expected:
-        raise TruncatedFileError(
-            f"{path}: payload {len(payload)} bytes, need {expected}"
-        )
-    if len(payload) > expected:
-        raise DimMismatchError(f"{path}: {len(payload) - expected} trailing bytes")
-    params: dict[str, np.ndarray] = {}
-    cursor = 0
-    for name, shape in spec.parameter_shapes():
-        count = int(np.prod(shape))
-        chunk = np.frombuffer(payload, dtype="<f8", count=count, offset=cursor * 8)
-        params[name] = chunk.reshape(shape).copy()
-        cursor += count
-    model = MlpModel(spec=spec, params=params, seed=int(seed), epochs_trained=int(epochs))
-    model.stage_losses = dict(zip(STAGES, (float(v) for v in losses)))
-    return model
+    expected, payload = total_params * 8, len(blob) - header.size
+    if payload < expected:
+        raise ModelFormatError(f"{path}: payload {payload} bytes, need {expected}")
+    if payload > expected:
+        raise ModelFormatError(f"{path}: {payload - expected} trailing bytes")
+    shapes = spec.parameter_shapes()
+    flat = np.frombuffer(blob, dtype="<f8", offset=header.size)
+    ends = np.cumsum([math.prod(shape) for _, shape in shapes])[:-1]
+    params = {name: chunk.reshape(shape).copy()
+              for (name, shape), chunk in zip(shapes, np.split(flat, ends))}
+    return MlpModel(spec=spec, params=params, seed=seed, epochs_trained=epochs,
+                    stage_losses=dict(zip(STAGES, losses)))
 
 
 def load_model_for(cfg: ArrayConfig, path) -> MlpModel:

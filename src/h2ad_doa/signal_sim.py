@@ -374,7 +374,11 @@ def simulate_group(scenario: SimScenario, q: int) -> np.ndarray:
 
 def sample_covariance(block: np.ndarray) -> np.ndarray:
     """Sample covariance ``(1/T) * S @ S^H`` of a ``(K_q, T)`` block ``S``,
-    forced exactly Hermitian."""
+    forced exactly Hermitian; any other block raises ``ValueError``."""
+    if not (isinstance(block, np.ndarray) and block.ndim == 2 and block.shape[1] >= 1
+            and block.dtype.kind in "fc"):
+        raise ValueError(f"need a 2-D float or complex (K_q, T) block with T >= 1, "
+                         f"got shape {np.shape(block)} dtype {getattr(block, 'dtype', None)}")
     r = block @ block.conj().T
     r /= block.shape[1]
     r += r.conj().T

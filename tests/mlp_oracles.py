@@ -50,10 +50,11 @@ def grad_check(
     x = sample.features
     worst = 0.0
     for stage in STAGES:
-        names = model.trained_names(stage)
         _, grads = _stage_loss_and_grads(
             model, stage, x, sample.label_tuple, sample.label_theta
         )
+        # the stage's trained parameters, in declared order
+        names = [n for n, _ in model.spec.parameter_shapes() if n in grads]
         sizes = np.array([model.params[n].size for n in names])
         total = int(sizes.sum())
         for flat in rng.choice(total, size=min(params_per_loss, total), replace=False):

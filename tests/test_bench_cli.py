@@ -205,12 +205,16 @@ def test_wall_ms_counts_the_shared_front_end_in_every_row(monkeypatch):
 
 
 def test_wall_ms_grows_with_subarray_count():
-    # Rooting the degree-2(K-1) polynomial dominates a trial, so K=64
-    # costs many times what K=16 does.
+    # Warmed, a K=64 sweep takes only about 1.5 times a K=16 one (2 vCPU,
+    # numpy 2.4), and on a shared host 3 single sweeps in 1000 read at or
+    # below 1.  A neighbour's burst can only slow a run, so compare each K's
+    # fastest of five sweeps: its ratio never fell below 1.17 in 200 tries.
     spec = tiny_spec(k_grid=(16, 64), trials=4, snapshot_grid=(100,))
     run_sweep(spec)  # untimed: the first sweep in a process pays first-use costs
-    rows = run_sweep(spec)
-    wall = {r.K: r.wall_ms for r in rows}
+    wall = {16: math.inf, 64: math.inf}
+    for _ in range(5):
+        for r in run_sweep(spec):
+            wall[r.K] = min(wall[r.K], r.wall_ms)
     assert wall[64] > wall[16]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +13,13 @@ from h2ad_doa.array_model import ArrayConfig, ConfigError
 from h2ad_doa.fusion import GroupFailureError, group_candidates
 from h2ad_doa.mbdnn import (
     STAGES,
-    BadMagicError,
     Dataset,
-    DimMismatchError,
     MlpModel,
     MlpSpec,
+    ModelFormatError,
     NonFiniteLossError,
     ShapeMismatchError,
     TrainConfig,
-    TruncatedFileError,
     features_from_candidates,
     forward,
     generate_dataset,
@@ -204,12 +203,13 @@ def test_train_deterministic_by_seed():
 def test_train_stage_isolation():
     ds = random_dataset(32)
     model = init_model(SPEC, seed=1)
-    frozen = {k: model.params[k].copy() for k in model.trained_names("fusion_net")}
+    fusion = ("fusion_w", "fusion_b")
+    frozen = {k: model.params[k].copy() for k in fusion}
     train(model, ds, TrainConfig(stage="mb_fcnn", epochs=2, lr=1e-3))
     assert all(np.array_equal(frozen[k], model.params[k]) for k in frozen)
 
     model = init_model(SPEC, seed=1)
-    frozen = {k: model.params[k].copy() for k in model.trained_names("mb_fcnn")}
+    frozen = {k: model.params[k].copy() for k in model.params if k not in fusion}
     train(model, ds, TrainConfig(stage="fusion_net", epochs=2, lr=1e-3))
     assert all(np.array_equal(frozen[k], model.params[k]) for k in frozen)
     assert model.epochs_trained == 2
@@ -458,6 +458,8 @@ def test_model_save_load_bitwise(tmp_path):
         assert (a == b) or (math.isnan(a) and math.isnan(b))
 
 
+#: the three messages a file cut at any length can get
+_CUT = r"shorter than the fixed header|header cut short|payload \d+ bytes, need \d+"
 _LOSSES = st.floats(allow_nan=False) | st.sampled_from([math.nan, -0.0, math.inf])
 
 
@@ -492,54 +494,48 @@ def test_model_file_round_trip_and_every_cut(tmp_path_factory, m, seed, epochs,
     payload_cuts = data.draw(st.lists(st.integers(100, len(blob) - 1), max_size=40))
     for n in [*range(100), *payload_cuts]:
         path.write_bytes(blob[:n])
-        with pytest.raises(TruncatedFileError):
+        with pytest.raises(ModelFormatError, match=_CUT):
             load_model(path)
 
 
-def test_model_bad_magic(tmp_path):
-    path = tmp_path / "m.mbdnn"
-    save_model(init_model(SPEC, seed=1), path)
-    raw = bytearray(path.read_bytes())
+def _flip_first_byte(raw):
     raw[0] ^= 0xFF
-    path.write_bytes(bytes(raw))
-    with pytest.raises(BadMagicError):
-        load_model(path)
 
 
-def test_model_dim_mismatch(tmp_path):
-    path = tmp_path / "m.mbdnn"
-    save_model(init_model(SPEC, seed=1), path)
-    raw = bytearray(path.read_bytes())
-    # first group size lives right after magic and group count
-    raw[10] = 6
-    path.write_bytes(bytes(raw))
-    with pytest.raises(DimMismatchError):
-        load_model(path)
+def _cut_in_half(raw):
+    del raw[len(raw) // 2:]
 
 
 @pytest.mark.parametrize("edit, match", [
-    (lambda raw: struct.pack_into("<I", raw, 6, 0), "group count 0"),
-    (lambda raw: struct.pack_into("<I", raw, 6, 1025), "group count 1025"),
-    (lambda raw: struct.pack_into("<I", raw, 10, 1), r"sizes \(1, 11, 13\) out of range"),
+    (_flip_first_byte, r"bad magic b'\\xb2BDNN1'"),
+    (lambda raw: struct.pack_into("<I", raw, 6, 0), "implausible group count 0"),
+    (lambda raw: struct.pack_into("<I", raw, 6, 1025), "implausible group count 1025"),
+    (lambda raw: struct.pack_into("<I", raw, 10, 1), r"subarray sizes \(1, 11, 13\) out of range"),
+    # first group size lives right after magic and group count
+    (lambda raw: struct.pack_into("<I", raw, 10, 6),
+     r"header dims disagree with layout derived from M=\(6, 11, 13\)"),
+    (_cut_in_half, r"payload \d+ bytes, need \d+"),
     (lambda raw: raw.append(0), "1 trailing bytes"),
-], ids=["groups-0", "groups-1025", "M-1", "trailing-byte"])
+], ids=["bad-magic", "groups-0", "groups-1025", "M-1", "dim-mismatch", "truncated",
+        "trailing-byte"])
 def test_model_header_refusals(tmp_path, edit, match):
+    # every refusal is one ModelFormatError, told apart by its message
     path = tmp_path / "m.mbdnn"
     save_model(init_model(SPEC, seed=1), path)
     raw = bytearray(path.read_bytes())
     edit(raw)
     path.write_bytes(bytes(raw))
-    with pytest.raises(DimMismatchError, match=match):
+    with pytest.raises(ModelFormatError, match=match):
         load_model(path)
 
 
-def test_model_truncated(tmp_path):
+def test_golden_model_file_resaves_byte_for_byte(tmp_path):
+    # pins the format against a file the original writer made, not only
+    # against a round trip through the current one
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden_model.bin"
     path = tmp_path / "m.mbdnn"
-    save_model(init_model(SPEC, seed=1), path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(TruncatedFileError):
-        load_model(path)
+    save_model(load_model(golden), path)
+    assert path.read_bytes() == golden.read_bytes()
 
 
 def test_predict_doa_returns_float():

@@ -302,6 +302,17 @@ def test_sample_covariance_hermitian():
     assert np.array_equal(r, r.conj().T)
 
 
+@pytest.mark.parametrize("block, match", [
+    (np.ones(5, complex), r"shape \(5,\) dtype complex128"),
+    (np.ones((3, 4), np.int64), r"shape \(3, 4\) dtype int64"),
+    (np.ones((3, 4), bool), r"shape \(3, 4\) dtype bool"),
+    (np.ones((3, 0), complex), r"shape \(3, 0\) dtype complex128"),
+], ids=["1-D", "integer", "bool", "no-snapshots"])
+def test_sample_covariance_refuses_bad_blocks(block, match):
+    with pytest.raises(ValueError, match=match):
+        sample_covariance(block)
+
+
 def test_exact_covariance_eigenstructure():
     # rank-one signal on a noise floor: top eigenvalue K*|e|^2/M + sigma_v^2,
     # the rest exactly sigma_v^2.  Frozen top value for group 0 at 41 deg.
