@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 #: Keys accepted in a config file, in canonical order.
-CONFIG_KEYS = ("groups", "M", "K", "d_over_lambda", "lambda_m")
+CONFIG_KEYS = ("groups", "M", "K", "d_over_lambda")
 
 #: Largest subarray size M_q: bounds the M_q-element steering sum of every
 #: gain evaluation and the 4*M_q-wide first hidden layer of an MLP branch.
@@ -94,25 +94,24 @@ class GroupGeometry:
     num_subarrays : int
         RF chains in the group (``K_q``), the virtual array length.
     spacing : float
-        Physical element spacing ``d`` in meters.
-    wavelength : float
-        Carrier wavelength in meters.
+        Element spacing ``d`` in wavelengths.
     """
 
     subarray_size: int
     num_subarrays: int
     spacing: float
-    wavelength: float
 
     @property
     def virtual_spacing(self) -> float:
-        """Spacing of the virtual ULA in meters (``M_q * d``)."""
+        """Spacing of the virtual ULA in wavelengths (``M_q * d``)."""
         return self.subarray_size * self.spacing
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
     """Receiver layout: subarray sizes, subarray counts, spacing.
+
+    Lengths are in wavelengths, so no angle depends on a unit of length.
 
     Construction checks it with :func:`validate_config`.
 
@@ -125,14 +124,11 @@ class ArrayConfig:
     d_over_lambda : float
         Element spacing in wavelengths.  Half-wavelength is the supported
         operating point; the candidate-count contract assumes it.
-    wavelength : float
-        Carrier wavelength in meters.
     """
 
     M: tuple[int, ...]
     K: tuple[int, ...]
     d_over_lambda: float = 0.5
-    wavelength: float = 1.0
 
     def __post_init__(self) -> None:
         # tuples and floats keep every config hashable, as the simulator's
@@ -141,16 +137,10 @@ class ArrayConfig:
         object.__setattr__(self, "K", tuple(self.K))
         validate_config(self)
         object.__setattr__(self, "d_over_lambda", float(self.d_over_lambda))
-        object.__setattr__(self, "wavelength", float(self.wavelength))
 
     @property
     def num_groups(self) -> int:
         return len(self.M)
-
-    @property
-    def spacing(self) -> float:
-        """Physical element spacing ``d`` in meters."""
-        return self.d_over_lambda * self.wavelength
 
     @property
     def total_antennas(self) -> int:
@@ -158,19 +148,16 @@ class ArrayConfig:
         return int(sum(k * m for k, m in zip(self.K, self.M)))
 
     def group(self, q: int) -> GroupGeometry:
-        """Geometry of group ``q`` (``0 <= q < num_groups``)."""
+        """Geometry of group ``q``; a ``q`` that is not an integer in
+        ``[0, num_groups - 1]`` raises ``ConfigError``."""
+        check_integer("q", q, 0, self.num_groups - 1)
         return self._geometries[q]
 
     @functools.cached_property
     def _geometries(self) -> tuple[GroupGeometry, ...]:
         # built on first use and kept: the config is frozen
         return tuple(
-            GroupGeometry(
-                subarray_size=m,
-                num_subarrays=k,
-                spacing=self.spacing,
-                wavelength=self.wavelength,
-            )
+            GroupGeometry(subarray_size=m, num_subarrays=k, spacing=self.d_over_lambda)
             for m, k in zip(self.M, self.K)
         )
 
@@ -186,11 +173,11 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
         If any ``M_q < 2`` or ``K_q < 2``.
     ConfigError
         On shape, type or sign problems (mismatched lists, an ``M_q`` or
-        ``K_q`` that :func:`check_integer` refuses, a spacing or
-        wavelength that :func:`check_real` refuses or that is not finite
-        and positive), ``M_q`` above ``MAX_SUBARRAY_SIZE`` or ``K_q``
-        above ``MAX_SUBARRAYS``, or element spacing above half a
-        wavelength, where grating lobes alias the angle itself.
+        ``K_q`` that :func:`check_integer` refuses, a spacing that
+        :func:`check_real` refuses or that is not finite and positive),
+        ``M_q`` above ``MAX_SUBARRAY_SIZE`` or ``K_q`` above
+        ``MAX_SUBARRAYS``, or element spacing above half a wavelength,
+        where grating lobes alias the angle itself.
     """
     if len(cfg.M) == 0:
         raise ConfigError("configuration has no groups")
@@ -209,15 +196,13 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
         for k in range(q + 1, len(cfg.M)):
             if math.gcd(cfg.M[q], cfg.M[k]) != 1:
                 raise NonCoprimeError(q, k, cfg.M[q], cfg.M[k])
-    for field in ("d_over_lambda", "wavelength"):
-        value = getattr(cfg, field)
-        check_real(field, value)
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise ConfigError(f"{field}={value} must be finite")
+    check_real("d_over_lambda", cfg.d_over_lambda)
+    try:
+        finite = math.isfinite(cfg.d_over_lambda)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"d_over_lambda={cfg.d_over_lambda} must be finite")
     if not cfg.d_over_lambda > 0:
         raise ConfigError(f"d_over_lambda={cfg.d_over_lambda} must be positive")
     if not cfg.d_over_lambda <= 0.5:
@@ -225,8 +210,6 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
             f"d_over_lambda={cfg.d_over_lambda} exceeds 0.5: grating lobes make "
             "the element array itself ambiguous"
         )
-    if not cfg.wavelength > 0:
-        raise ConfigError(f"wavelength={cfg.wavelength} must be positive")
     return cfg
 
 
@@ -234,7 +217,7 @@ def gain_coefficient(geom: GroupGeometry, theta: float) -> complex:
     """Analog combining gain ``e_q(theta)`` of one subarray.
 
     The sum of :func:`element_steering`,
-    ``sum_m exp(j*(2*pi/lambda)*m*d*sin(theta))`` over the ``M_q`` elements.  The closed-form geometric ratio has a removable
+    ``sum_m exp(j*2*pi*m*d*sin(theta))`` over the ``M_q`` elements.  The closed-form geometric ratio has a removable
     0/0 at broadside, so the sum is evaluated as written; at
     ``theta = 0`` it equals ``M_q`` exactly.
 
@@ -254,7 +237,7 @@ def gain_coefficient(geom: GroupGeometry, theta: float) -> complex:
 def element_steering(geom: GroupGeometry, theta: float) -> np.ndarray:
     """Steering vector of one subarray (``M_q`` elements, spacing ``d``)."""
     m = np.arange(geom.subarray_size)
-    phases = (2.0 * np.pi / geom.wavelength) * m * geom.spacing * np.sin(theta)
+    phases = (2.0 * np.pi) * m * geom.spacing * np.sin(theta)
     return np.exp(1j * phases)
 
 
@@ -262,7 +245,7 @@ def virtual_steering(geom: GroupGeometry, theta: float) -> np.ndarray:
     """Steering vector of the group's virtual ULA.
 
     ``K_q`` elements at spacing ``M_q * d``; element ``k`` is
-    ``exp(j*(2*pi/lambda)*M_q*d*sin(theta)*k)``.  Unit modulus per
+    ``exp(j*2*pi*M_q*d*sin(theta)*k)``.  Unit modulus per
     element, first element 1.
 
     Parameters
@@ -276,18 +259,16 @@ def virtual_steering(geom: GroupGeometry, theta: float) -> np.ndarray:
     ndarray of complex, shape (K_q,)
     """
     k = np.arange(geom.num_subarrays)
-    phase_step = (
-        (2.0 * np.pi / geom.wavelength) * geom.virtual_spacing * np.sin(theta)
-    )
+    phase_step = (2.0 * np.pi) * geom.virtual_spacing * np.sin(theta)
     return np.exp(1j * phase_step * k)
 
 
 def position_weighted_gain(geom: GroupGeometry, theta: float) -> complex:
     """Conjugate-weighted element-position sum used by the exact CRLB.
 
-    ``sum_m (m*d) * exp(-j*(2*pi/lambda)*m*d*sin(theta))`` over the
-    subarray, i.e. the element positions weighted by the conjugated
-    element steering vector.  Units are meters.
+    ``sum_m (m*d) * exp(-j*2*pi*m*d*sin(theta))`` over the subarray,
+    i.e. the element positions weighted by the conjugated element
+    steering vector.  Units are wavelengths.
     """
     m = np.arange(geom.subarray_size)
     positions = m * geom.spacing
@@ -316,7 +297,7 @@ def load_config(path) -> ArrayConfig:
     """Read and validate a JSON config file.
 
     Expected keys: ``groups`` (int), ``M`` (list), ``K`` (list),
-    ``d_over_lambda`` (float, optional), ``lambda_m`` (float, optional).
+    ``d_over_lambda`` (float, optional).
     Unknown keys are rejected, and so is any value of the wrong type:
     booleans, strings and null, a fraction where an integer is expected,
     and a non-finite number.
@@ -348,7 +329,6 @@ def load_config(path) -> ArrayConfig:
         M=M,
         K=K,
         d_over_lambda=_number("d_over_lambda", raw.get("d_over_lambda", 0.5)),
-        wavelength=_number("lambda_m", raw.get("lambda_m", 1.0)),
     )
     return cfg
 
@@ -360,7 +340,6 @@ def save_config(cfg: ArrayConfig, path) -> None:
         "M": list(cfg.M),
         "K": list(cfg.K),
         "d_over_lambda": cfg.d_over_lambda,
-        "lambda_m": cfg.wavelength,
     }
     with open(path, "w") as fh:
         json.dump(raw, fh, indent=2)

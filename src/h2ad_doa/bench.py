@@ -72,6 +72,8 @@ class BenchSpec:
         empty_k = self.k_grid is not None and not self.k_grid
         if not self.snr_grid or not self.snapshot_grid or empty_k:
             raise ConfigError("empty sweep grid")
+        if not self.methods:
+            raise ConfigError("no methods to sweep")
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}, expected one of {METHODS}")

@@ -2,7 +2,8 @@
 
 Subcommands: validate, simulate, estimate, dataset, train, predict,
 bench.  Exit codes: 0 on success, 2 for configuration/usage problems,
-3 for runtime failures (estimation aborts, unreadable artifacts).
+3 for runtime failures (estimation aborts, unreadable artifacts, memory
+exhaustion).
 """
 
 from __future__ import annotations
@@ -266,8 +267,8 @@ def cli_main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 3
 
 

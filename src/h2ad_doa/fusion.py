@@ -206,7 +206,6 @@ def crlb_group_exact(
     geom = cfg.group(q)
     m_q = geom.subarray_size
     k_q = geom.num_subarrays
-    lam = geom.wavelength
     d = geom.spacing
     snr = 10.0 ** (snr_db / 10.0)
     gain = gain_coefficient(geom, theta0)
@@ -217,7 +216,7 @@ def crlb_group_exact(
     cross = (m_q * k_q / upsilon) * (
         gain_sq * abs(pos_gain) ** 2 + k_q * (gain**2 * pos_gain).real
     )
-    numerator = lam**2 * m_q * upsilon
+    numerator = m_q * upsilon
     denominator = (
         8.0 * snapshots * np.pi**2 * snr * np.cos(theta0) ** 2 * (curvature + cross)
     )

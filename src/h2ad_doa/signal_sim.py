@@ -317,6 +317,8 @@ def simulate_groups(
     Each block is deterministic given ``(scenario.seed, q)``.  ``reduce``,
     if given, maps each block to what is returned in its place, in the
     thread that drew it: ``group_candidates`` passes ``sample_covariance``.
+    A group index that is not an integer in ``[0, Q - 1]`` raises
+    ``ConfigError``.
 
     Returns
     -------
@@ -324,11 +326,16 @@ def simulate_groups(
         One complex ``(K_q, T)`` block per group of ``groups``, in that
         order: ``block[k, n]`` is subarray ``k`` at snapshot ``n``.
     """
+    if groups is None:
+        groups = range(scenario.cfg.num_groups)
+    else:
+        groups = tuple(groups)
+        for q in groups:
+            check_integer("q", q, 0, scenario.cfg.num_groups - 1)
     x = emitter_waveform(scenario)
     sigma_v = np.sqrt(scenario.noise_variance)
     theta0 = float(scenario.theta0)
     constants = _group_constants(scenario.cfg, theta0, math.copysign(1.0, theta0))
-    groups = range(scenario.cfg.num_groups) if groups is None else tuple(groups)
 
     def draw(q: int):
         amplitude, steer = constants[q]

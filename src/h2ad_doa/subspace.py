@@ -2,9 +2,9 @@
 
 Each group's virtual array undersamples space by its subarray size
 ``M_q``, so the root-MUSIC phase only pins ``sin(theta)`` modulo
-``lambda / (M_q * d)``.  :func:`enumerate_candidates` unfolds that
-ambiguity into the group's full candidate set; resolving which candidate
-is the true angle is the fusion stage's job.
+``1 / (M_q * d)``, ``d`` in wavelengths.  :func:`enumerate_candidates`
+unfolds that ambiguity into the group's full candidate set; resolving
+which candidate is the true angle is the fusion stage's job.
 
 Root-MUSIC needs one root of a degree ``2(K_q - 1)`` polynomial: the
 signal root, the one of largest modulus inside the unit circle.
@@ -338,7 +338,7 @@ def root_music_phases(stack: SubspaceStack) -> list[float]:
     -------
     list of float
         Each ``phase_hat`` in ``(-pi, pi]``, the argument of the selected
-        root; equals ``(2*pi/lambda) * M_q * d * sin(theta0)`` folded to
+        root; equals ``2*pi * M_q * d * sin(theta0)`` folded to
         the principal branch.
     """
     return _polynomial_phases(_root_polynomials(stack.signal, stack.basis))
@@ -594,13 +594,13 @@ def enumerate_candidates(phase_hat: float, geom: GroupGeometry) -> CandidateSet:
     """Unfold a group phase into its full candidate angle set.
 
     Collects every integer ``j`` for which
-    ``sin(theta) = (phase_hat + 2*pi*j) * lambda / (2*pi*M_q*d)`` lands
+    ``sin(theta) = (phase_hat + 2*pi*j) / (2*pi*M_q*d)`` lands
     in ``[-1, 1]``.  At half-wavelength spacing that yields ``M_q``
     angles, or ``M_q + 1`` when the phase folds exactly onto the visible
     boundary, in which case the entry of largest ``|sin|`` is dropped
     (the positive one on an exact tie).
     """
-    scale = geom.wavelength / (2.0 * np.pi * geom.virtual_spacing)
+    scale = 1.0 / (2.0 * np.pi * geom.virtual_spacing)
     two_pi = 2.0 * np.pi
     j_lo = math.ceil((-1.0 / scale - phase_hat) / two_pi - 1e-12)
     j_hi = math.floor((1.0 / scale - phase_hat) / two_pi + 1e-12)

@@ -75,7 +75,7 @@ def crlb_group_approx(
         * geom.spacing**2
         * geom.subarray_size**2
     )
-    return float(12.0 * geom.wavelength**2 / denominator)
+    return float(12.0 / denominator)
 
 
 def uncached_snapshots(scenario, q):
@@ -95,7 +95,7 @@ def uncached_snapshots(scenario, q):
 def masked_candidates(phase_hat, geom):
     """``enumerate_candidates(phase_hat, geom).angles`` with the sines
     formed out of place and clamped by ``np.clip``."""
-    scale = geom.wavelength / (2.0 * np.pi * geom.virtual_spacing)
+    scale = 1.0 / (2.0 * np.pi * geom.virtual_spacing)
     two_pi = 2.0 * np.pi
     j_lo = math.ceil((-1.0 / scale - phase_hat) / two_pi - 1e-12)
     j_hi = math.floor((1.0 / scale - phase_hat) / two_pi + 1e-12)

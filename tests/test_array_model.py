@@ -53,13 +53,13 @@ def test_validate_accepts_base_config():
         (dict(M=(7, 11), K=(16, 1)), GroupTooSmallError),
         (dict(M=(6, 9), K=(16, 16)), NonCoprimeError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda=0.0), ConfigError),
-        (dict(M=(7, 11), K=(16, 16), wavelength=-1.0), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), d_over_lambda=-1.0), ConfigError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda=0.7), ConfigError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda=math.inf), ConfigError),
-        (dict(M=(7, 11), K=(16, 16), wavelength=math.inf), ConfigError),
-        (dict(M=(7, 11), K=(16, 16), wavelength=10**400), ConfigError),
-        (dict(M=(7, 11), K=(16, 16), wavelength=True), ConfigError),
-        (dict(M=(7, 11), K=(16, 16), wavelength=1j), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), d_over_lambda=math.nan), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), d_over_lambda=10**400), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), d_over_lambda=True), ConfigError),
+        (dict(M=(7, 11), K=(16, 16), d_over_lambda=1j), ConfigError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda="0.5"), ConfigError),
         (dict(M=(7, 11), K=(16, 16), d_over_lambda=None), ConfigError),
         (dict(M=(10**30 + 1, 11, 13), K=(16, 16, 16)), ConfigError),
@@ -71,6 +71,14 @@ def test_validate_accepts_base_config():
 def test_validate_rejects(kwargs, exc):
     with pytest.raises(exc):
         validate_config(ArrayConfig(**kwargs))
+
+
+@pytest.mark.parametrize("q", [-1, 3, True, 1.0])
+def test_group_refuses_an_index_outside_the_groups(q):
+    # -1 read the last group and True group 1, so crlb_group_exact gave
+    # their bounds
+    with pytest.raises(ConfigError, match="q="):
+        BASE_CFG.group(q)
 
 
 def test_validate_accepts_size_limits():
@@ -169,7 +177,7 @@ def test_position_weighted_gain_scalar_oracle():
 
 def test_config_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
-    cfg = ArrayConfig(M=(11, 13, 17), K=(16, 24, 32), d_over_lambda=0.5, wavelength=2.0)
+    cfg = ArrayConfig(M=(11, 13, 17), K=(16, 24, 32), d_over_lambda=0.37)
     save_config(cfg, path)
     back = load_config(path)
     assert back == cfg
@@ -183,8 +191,7 @@ def _configs(draw):
     m = draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=4, unique=True))
     k = draw(st.lists(st.integers(2, MAX_SUBARRAYS), min_size=len(m), max_size=len(m)))
     spacing = draw(st.floats(0.0, 0.5, exclude_min=True))
-    wavelength = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
-    return ArrayConfig(M=tuple(m), K=tuple(k), d_over_lambda=spacing, wavelength=wavelength)
+    return ArrayConfig(M=tuple(m), K=tuple(k), d_over_lambda=spacing)
 
 
 @settings(max_examples=30, deadline=None)
@@ -207,9 +214,9 @@ def test_config_file_round_trip_and_every_cut(tmp_path_factory, cfg):
 def test_load_config_accepts_integral_numbers(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"groups": 3.0, "M": [7.0, 11, 13], "K": [16, 16.0, 16],
-                                "d_over_lambda": 0.5, "lambda_m": 2}))
+                                "d_over_lambda": 0.5}))
     cfg = load_config(path)
-    assert cfg == ArrayConfig(M=(7, 11, 13), K=(16, 16, 16), wavelength=2.0)
+    assert cfg == ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
     assert all(type(v) is int for v in (*cfg.M, *cfg.K))
 
 

@@ -68,6 +68,8 @@ def test_spec_validation():
         tiny_spec(snr_grid=())
     with pytest.raises(ValueError):
         tiny_spec(methods=("mbdnn",))  # needs model_path
+    with pytest.raises(ConfigError, match="no methods"):
+        tiny_spec(methods=())
     # grid points that no scenario can take are rejected before any trial
     with pytest.raises(ConfigError, match="snapshots"):
         tiny_spec(snapshot_grid=(0,))
@@ -398,29 +400,47 @@ def test_cli_malformed_config_document_is_exit_2(tmp_path, capsys, document, sho
     ("K", [None, 16, 16], "null"),
     ("d_over_lambda", None, "null"),
     ("d_over_lambda", "0.5", '"0.5"'),
-    ("lambda_m", "x", '"x"'),
-    ("lambda_m", True, "true"),
-    ("lambda_m", None, "null"),
-    ("lambda_m", math.inf, "Infinity"),
-    ("lambda_m", 10**400, "1" + "0" * 400),
+    ("d_over_lambda", True, "true"),
+    ("d_over_lambda", math.inf, "Infinity"),
+    ("d_over_lambda", 10**400, "1" + "0" * 400),
     ("M", [10**30 + 1, 11, 13], str(10**30 + 1)),
     ("K", [10**6, 16, 16], "1000000"),
+    ("lambda_m", 1.0, "unknown config keys ['lambda_m']"),
 ], ids=["groups-null", "groups-str", "groups-fraction", "groups-bool", "M-fraction",
         "M-bool", "M-str-member", "M-str", "K-fraction", "K-null-member",
-        "spacing-null", "spacing-str", "lambda-str", "lambda-bool", "lambda-null",
-        "lambda-inf", "lambda-huge-int", "M-huge", "K-huge"])
+        "spacing-null", "spacing-str", "spacing-bool", "spacing-inf",
+        "spacing-huge-int", "M-huge", "K-huge", "lambda-key"])
 def test_cli_bad_config_value_is_exit_2(tmp_path, capsys, field, value, shown):
     # Each value is refused as read, naming its key and showing it as
     # written; int() and float() would truncate fractions, turn true into
     # 1, parse numeric strings and fail on null with a TypeError.  A
     # subarray size or count above its limit is refused before any trial.
+    # Lengths are in wavelengths, so a wavelength key is unknown, not ignored.
     raw = {"groups": 3, "M": [7, 11, 13], "K": [16, 16, 16],
-           "d_over_lambda": 0.5, "lambda_m": 1.0, field: value}
+           "d_over_lambda": 0.5, field: value}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert cli_main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err and shown in err
+
+
+@pytest.mark.parametrize("command, target, message", [
+    ("estimate", "h2ad_doa.cli.group_candidates", "Unable to allocate 7.28 TiB"),
+    ("simulate", "h2ad_doa.cli.simulate_groups", ""),
+    ("dataset", "h2ad_doa.mbdnn.generate_dataset", ""),
+], ids=["estimate", "simulate", "dataset"])
+def test_cli_memory_error_is_exit_3(cfg_file, tmp_path, capsys, monkeypatch,
+                                    command, target, message):
+    # a request too large for memory is a runtime failure, not a traceback;
+    # the allocation is faked, since a real one could succeed under overcommit
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(target, exhausted)
+    args = [a.format(out=tmp_path / "out") for a in _EXIT_BASE[command]]
+    assert cli_main([command, "--config", cfg_file, *args]) == 3
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
 
 
 def test_cli_estimate_rejects_grating_lobe_spacing(tmp_path, capsys):

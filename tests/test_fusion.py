@@ -142,7 +142,7 @@ def test_select_true_tuple_scales_past_exhaustive_search():
         sets = []
         for q in range(cfg.num_groups):
             geom = cfg.group(q)
-            phase = 2.0 * np.pi * geom.virtual_spacing * math.sin(theta) / geom.wavelength
+            phase = 2.0 * np.pi * geom.virtual_spacing * math.sin(theta)
             sets.append(enumerate_candidates(float(np.angle(np.exp(1j * phase))), geom))
         planted = tuple(int(np.argmin(np.abs(cs.angles - theta))) for cs in sets)
         chosen = select_true_tuple(sets)

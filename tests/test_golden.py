@@ -80,13 +80,19 @@ def test_benchmark_imports_resolve():
 
 
 #: Runs in perfbench's worker: every workload's first ``STEPWISE_CHECKS``
-#: trials stepped through the layer functions against ``estimate_doa``, and
-#: its noiseless controls.  Prints the checks that failed.
+#: trials stepped through the layer functions against ``estimate_doa``, its
+#: noiseless controls, and its CLI probe, which saves the config into the
+#: directory given as the first argument and reads it back through
+#: ``h2ad-doa estimate``.  Prints the checks that failed.
 _STEPWISE_CHILD = """
-from tracer import Tracer
-from worker import (STEPWISE_CHECKS, WORKLOADS, attempt, control_checks, run_api,
-                    run_traced, same_result)
+import sys
 
+import worker
+from tracer import Tracer
+from worker import (STEPWISE_CHECKS, WORKLOADS, attempt, cli_probe, control_checks,
+                    run_api, run_traced, same_result)
+
+worker.OUT_DIR = sys.argv[1]
 failed = []
 for name, wl in WORKLOADS.items():
     for j in range(STEPWISE_CHECKS):
@@ -96,19 +102,22 @@ for name, wl in WORKLOADS.items():
             failed.append(f"{name} trial {j}")
     if not control_checks(wl, 1)["controls_ok"]:
         failed.append(f"{name} controls")
+    if not cli_probe(wl, 1, 1)[1]:
+        failed.append(f"{name} cli probe")
 print(failed)
 """
 
 
-def test_benchmark_stepwise_chain_matches_api():
+def test_benchmark_stepwise_chain_matches_api(tmp_path):
     # The benchmark steps each trial through the public layer functions by
-    # hand and needs the same bits as estimate_doa; its smoke run is not
-    # part of this suite, so a layer whose result changed type or meaning
-    # would otherwise break it unseen.
+    # hand and needs the same bits as estimate_doa, and its CLI probe needs
+    # save_config's file to load; its smoke run is not part of this suite,
+    # so a layer whose result changed type or meaning, or a config format
+    # change, would otherwise break it unseen.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _STEPWISE_CHILD],
+        [sys.executable, "-c", _STEPWISE_CHILD, str(tmp_path)],
         cwd=ROOT,
         env=env,
         capture_output=True,

@@ -32,6 +32,13 @@ def scenario(**kw):
     return SimScenario(**base)
 
 
+@pytest.mark.parametrize("q", [-1, 3, True, 1.0])
+def test_simulate_group_refuses_an_index_outside_the_groups(q):
+    # these raised OverflowError, IndexError and TypeError, or read group 1
+    with pytest.raises(ConfigError, match="q="):
+        simulate_group(scenario(), q)
+
+
 def test_noise_variance_from_snr():
     assert scenario(snr_db=0.0).noise_variance == pytest.approx(1.0)
     assert scenario(snr_db=10.0).noise_variance == pytest.approx(0.1)
@@ -235,13 +242,12 @@ def test_memoised_group_constants_equal_fresh_ones(first, theta):
 
 def test_sequence_config_and_array_angle_simulate_like_tuple_and_float():
     # the memo keys need hashable values: a config built from lists stores
-    # tuples, one built from a 0-d array spacing and a numpy wavelength
-    # stores floats, and a 0-d array angle is read as its float
+    # tuples, one built from a 0-d array spacing stores a float, and a 0-d
+    # array angle is read as its float
     listed = ArrayConfig(M=[7, 11, 13], K=np.array([16, 16, 16]))
     assert (listed.M, listed.K) == (BASE_CFG.M, BASE_CFG.K)
-    arrayed = ArrayConfig(M=BASE_CFG.M, K=BASE_CFG.K, d_over_lambda=np.array(0.5),
-                          wavelength=np.float32(1.0))
-    assert (type(arrayed.d_over_lambda), type(arrayed.wavelength)) == (float, float)
+    arrayed = ArrayConfig(M=BASE_CFG.M, K=BASE_CFG.K, d_over_lambda=np.array(0.5))
+    assert type(arrayed.d_over_lambda) is float
     assert arrayed == BASE_CFG
     reference = [b.tobytes() for b in simulate_groups(scenario())]
     for sc in (scenario(cfg=listed), scenario(cfg=arrayed),
