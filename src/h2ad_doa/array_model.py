@@ -5,7 +5,8 @@ partitioned into ``Q`` groups.  Group ``q`` holds ``K_q`` subarrays of
 ``M_q`` antennas each, with one RF chain per subarray.  Analog combining
 collapses every subarray to a single output, so group ``q`` behaves as a
 ``K_q``-element virtual ULA whose element spacing is ``M_q * d``.  All
-estimators in this package operate on those virtual arrays.
+estimators in this package operate on those virtual arrays.  Elements sit
+half a wavelength apart, ``d = SPACING``.
 
 Subarray sizes must be pairwise coprime: spatial undersampling by the
 factor ``M_q`` folds the visible region ``M_q``-fold, and coprimality is
@@ -24,7 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 #: Keys accepted in a config file, in canonical order.
-CONFIG_KEYS = ("groups", "M", "K", "d_over_lambda")
+CONFIG_KEYS = ("groups", "M", "K")
+
+#: Element spacing ``d`` in wavelengths.  Half a wavelength is the widest
+#: spacing without grating lobes, and it gives each group exactly ``M_q``
+#: candidate angles.
+SPACING = 0.5
 
 #: Largest subarray size M_q: bounds the M_q-element steering sum of every
 #: gain evaluation and the 4*M_q-wide first hidden layer of an MLP branch.
@@ -93,25 +99,20 @@ class GroupGeometry:
         Antennas per subarray (``M_q``).
     num_subarrays : int
         RF chains in the group (``K_q``), the virtual array length.
-    spacing : float
-        Element spacing ``d`` in wavelengths.
     """
 
     subarray_size: int
     num_subarrays: int
-    spacing: float
 
     @property
     def virtual_spacing(self) -> float:
         """Spacing of the virtual ULA in wavelengths (``M_q * d``)."""
-        return self.subarray_size * self.spacing
+        return self.subarray_size * SPACING
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Receiver layout: subarray sizes, subarray counts, spacing.
-
-    Lengths are in wavelengths, so no angle depends on a unit of length.
+    """Receiver layout: subarray sizes and subarray counts.
 
     Construction checks it with :func:`validate_config`.
 
@@ -121,22 +122,16 @@ class ArrayConfig:
         Subarray size per group, pairwise coprime; stored as a tuple.
     K : tuple of int
         Number of subarrays per group; stored as a tuple.
-    d_over_lambda : float
-        Element spacing in wavelengths.  Half-wavelength is the supported
-        operating point; the candidate-count contract assumes it.
     """
 
     M: tuple[int, ...]
     K: tuple[int, ...]
-    d_over_lambda: float = 0.5
 
     def __post_init__(self) -> None:
-        # tuples and floats keep every config hashable, as the simulator's
-        # memo needs
+        # tuples keep every config hashable, as the simulator's memo needs
         object.__setattr__(self, "M", tuple(self.M))
         object.__setattr__(self, "K", tuple(self.K))
         validate_config(self)
-        object.__setattr__(self, "d_over_lambda", float(self.d_over_lambda))
 
     @property
     def num_groups(self) -> int:
@@ -157,7 +152,7 @@ class ArrayConfig:
     def _geometries(self) -> tuple[GroupGeometry, ...]:
         # built on first use and kept: the config is frozen
         return tuple(
-            GroupGeometry(subarray_size=m, num_subarrays=k, spacing=self.d_over_lambda)
+            GroupGeometry(subarray_size=m, num_subarrays=k)
             for m, k in zip(self.M, self.K)
         )
 
@@ -172,12 +167,9 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
     GroupTooSmallError
         If any ``M_q < 2`` or ``K_q < 2``.
     ConfigError
-        On shape, type or sign problems (mismatched lists, an ``M_q`` or
-        ``K_q`` that :func:`check_integer` refuses, a spacing that
-        :func:`check_real` refuses or that is not finite and positive),
-        ``M_q`` above ``MAX_SUBARRAY_SIZE`` or ``K_q`` above
-        ``MAX_SUBARRAYS``, or element spacing above half a wavelength,
-        where grating lobes alias the angle itself.
+        On shape or type problems (mismatched lists, an ``M_q`` or
+        ``K_q`` that :func:`check_integer` refuses), ``M_q`` above
+        ``MAX_SUBARRAY_SIZE`` or ``K_q`` above ``MAX_SUBARRAYS``.
     """
     if len(cfg.M) == 0:
         raise ConfigError("configuration has no groups")
@@ -196,20 +188,6 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
         for k in range(q + 1, len(cfg.M)):
             if math.gcd(cfg.M[q], cfg.M[k]) != 1:
                 raise NonCoprimeError(q, k, cfg.M[q], cfg.M[k])
-    check_real("d_over_lambda", cfg.d_over_lambda)
-    try:
-        finite = math.isfinite(cfg.d_over_lambda)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ConfigError(f"d_over_lambda={cfg.d_over_lambda} must be finite")
-    if not cfg.d_over_lambda > 0:
-        raise ConfigError(f"d_over_lambda={cfg.d_over_lambda} must be positive")
-    if not cfg.d_over_lambda <= 0.5:
-        raise ConfigError(
-            f"d_over_lambda={cfg.d_over_lambda} exceeds 0.5: grating lobes make "
-            "the element array itself ambiguous"
-        )
     return cfg
 
 
@@ -237,7 +215,7 @@ def gain_coefficient(geom: GroupGeometry, theta: float) -> complex:
 def element_steering(geom: GroupGeometry, theta: float) -> np.ndarray:
     """Steering vector of one subarray (``M_q`` elements, spacing ``d``)."""
     m = np.arange(geom.subarray_size)
-    phases = (2.0 * np.pi) * m * geom.spacing * np.sin(theta)
+    phases = (2.0 * np.pi) * m * SPACING * np.sin(theta)
     return np.exp(1j * phases)
 
 
@@ -271,7 +249,7 @@ def position_weighted_gain(geom: GroupGeometry, theta: float) -> complex:
     steering vector.  Units are wavelengths.
     """
     m = np.arange(geom.subarray_size)
-    positions = m * geom.spacing
+    positions = m * SPACING
     return complex(np.sum(positions * np.conj(element_steering(geom, theta))))
 
 
@@ -282,25 +260,12 @@ def _integer(key: str, value) -> int:
     raise ConfigError(f"{key} must be an integer, got {json.dumps(value)}")
 
 
-def _number(key: str, value) -> float:
-    """A finite JSON number as ``float``."""
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be a finite number, got {json.dumps(value)}")
-    return number
-
-
 def load_config(path) -> ArrayConfig:
     """Read and validate a JSON config file.
 
-    Expected keys: ``groups`` (int), ``M`` (list), ``K`` (list),
-    ``d_over_lambda`` (float, optional).
+    Expected keys: ``groups`` (int), ``M`` (list), ``K`` (list).
     Unknown keys are rejected, and so is any value of the wrong type:
-    booleans, strings and null, a fraction where an integer is expected,
-    and a non-finite number.
+    booleans, strings and null, and a fraction where an integer is expected.
     """
     try:
         with open(path) as fh:
@@ -325,12 +290,7 @@ def load_config(path) -> ArrayConfig:
     groups = _integer("groups", raw["groups"])
     if groups != len(M):
         raise ConfigError(f"groups={groups} does not match len(M)={len(M)}")
-    cfg = ArrayConfig(
-        M=M,
-        K=K,
-        d_over_lambda=_number("d_over_lambda", raw.get("d_over_lambda", 0.5)),
-    )
-    return cfg
+    return ArrayConfig(M=M, K=K)
 
 
 def save_config(cfg: ArrayConfig, path) -> None:
@@ -339,7 +299,6 @@ def save_config(cfg: ArrayConfig, path) -> None:
         "groups": cfg.num_groups,
         "M": list(cfg.M),
         "K": list(cfg.K),
-        "d_over_lambda": cfg.d_over_lambda,
     }
     with open(path, "w") as fh:
         json.dump(raw, fh, indent=2)

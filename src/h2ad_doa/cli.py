@@ -18,7 +18,7 @@ import numpy as np
 from . import bench as bench_mod
 from . import mbdnn
 from .array_model import ConfigError, load_config
-from .fusion import fuse_candidates, fused_crlb, group_candidates
+from .fusion import AngleOutOfGuardError, fuse_candidates, fused_crlb, group_candidates
 from .signal_sim import SimScenario, simulate_groups
 
 
@@ -66,11 +66,16 @@ def _cmd_estimate(args) -> int:
     scenario = _scenario(args)
     cfg, sets = scenario.cfg, group_candidates(scenario)
     ratio = fuse_candidates(cfg, sets, "crlb_ratio")
-    exact = None  # noiseless, every bound is zero: inverse-bound weights are undefined
-    if scenario.snr_db < math.inf:
-        exact = fuse_candidates(cfg, sets, "exact_crlb", scenario.snr_db, scenario.snapshots)
-    crlb = exact.crlb if exact else fused_crlb(cfg, ratio.selected.mean, math.inf,
-                                               scenario.snapshots)
+    exact = crlb = None
+    try:
+        if scenario.snr_db < math.inf:
+            exact = fuse_candidates(cfg, sets, "exact_crlb", scenario.snr_db,
+                                    scenario.snapshots)
+            crlb = exact.crlb
+        else:  # noiseless, every bound is zero: inverse-bound weights are undefined
+            crlb = fused_crlb(cfg, ratio.selected.mean, math.inf, scenario.snapshots)
+    except AngleOutOfGuardError:
+        pass  # beyond the guard the exact bound is undefined, as in run_sweep
     result = {
         "candidates_deg": {
             str(q): [float(v) for v in np.degrees(cs.angles)] for q, cs in enumerate(sets)
@@ -81,8 +86,8 @@ def _cmd_estimate(args) -> int:
         "dispersion_rad2": ratio.selected.dispersion,
         "weights_crlb_ratio": [float(w) for w in ratio.weights],
         "weights_exact_crlb": None if exact is None else [float(w) for w in exact.weights],
-        "crlb_per_group_rad2": [float(c) for c in crlb.per_group],
-        "crlb_fused_rad2": crlb.fused_bound,
+        "crlb_per_group_rad2": None if crlb is None else [float(c) for c in crlb.per_group],
+        "crlb_fused_rad2": None if crlb is None else crlb.fused_bound,
         "fused_deg_crlb_ratio": math.degrees(ratio.theta_hat),
         "fused_deg_exact_crlb": None if exact is None else math.degrees(exact.theta_hat),
     }
@@ -165,7 +170,7 @@ def _cmd_bench(args) -> int:
         snapshot_grid=_parse_grid(args.snapshot_grid, int),
         k_grid=_parse_grid(args.k_grid, int) if args.k_grid else None,
         trials=args.trials,
-        methods=tuple(m.strip() for m in args.methods.split(",")),
+        methods=_parse_grid(args.methods, str.strip),
         model_path=args.model,
         master_seed=args.seed,
     )

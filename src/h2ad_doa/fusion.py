@@ -36,8 +36,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .array_model import ArrayConfig, check_real, gain_coefficient, position_weighted_gain
+from .array_model import (
+    SPACING,
+    ArrayConfig,
+    check_real,
+    gain_coefficient,
+    position_weighted_gain,
+)
 from .signal_sim import (
+    UNSOLVABLE_DTYPES,
     SimScenario,
     check_operating_point,
     sample_covariance,
@@ -206,7 +213,7 @@ def crlb_group_exact(
     geom = cfg.group(q)
     m_q = geom.subarray_size
     k_q = geom.num_subarrays
-    d = geom.spacing
+    d = SPACING
     snr = 10.0 ** (snr_db / 10.0)
     gain = gain_coefficient(geom, theta0)
     gain_sq = abs(gain) ** 2
@@ -284,8 +291,9 @@ def candidates_from_covariances(
     group order, so the :class:`GroupFailureError` that aborts the trial
     names the first failing group and carries the chain's cause.  Any
     other ``covs`` raises ``ValueError``: a shape other than ``(K_q, K_q)``,
-    a dtype that is not numeric, or a matrix that is not exactly Hermitian
-    (the eigensolvers read only its lower triangle).
+    a dtype that is not numeric or is one of
+    :data:`~h2ad_doa.signal_sim.UNSOLVABLE_DTYPES`, or a matrix that is not
+    exactly Hermitian (the eigensolvers read only its lower triangle).
     """
     shapes = tuple(getattr(c, "shape", None) for c in covs)
     if shapes != tuple((k, k) for k in cfg.K):
@@ -304,10 +312,11 @@ def candidates_from_covariances(
 
 
 def _check_hermitian(members: list[int], stack: np.ndarray) -> None:
-    """Refuse a stack that is not numeric, or the first member that is not
-    exactly Hermitian."""
-    if not np.issubdtype(stack.dtype, np.number):
-        raise ValueError(f"need one numeric covariance per group, got dtype {stack.dtype}")
+    """Refuse a stack that is not numeric or that ``numpy.linalg`` cannot
+    factor, or the first member that is not exactly Hermitian."""
+    if not np.issubdtype(stack.dtype, np.number) or stack.dtype.type in UNSOLVABLE_DTYPES:
+        raise ValueError(f"need one numeric covariance per group that numpy.linalg "
+                         f"can factor, got dtype {stack.dtype}")
     mirror = stack.conj().swapaxes(1, 2)
     if (stack == mirror).all():
         return

@@ -75,20 +75,7 @@ class MlpSpec:
 
     @classmethod
     def from_config(cls, cfg: ArrayConfig) -> "MlpSpec":
-        """Layout for ``cfg``, whose groups must give ``M_q`` candidates each.
-
-        Raises
-        ------
-        ConfigError
-            Unless ``d_over_lambda`` is 0.5: a closer spacing gives a
-            group fewer than ``M_q`` candidates, which breaks the
-            feature layout.
-        """
-        if cfg.d_over_lambda != 0.5:
-            raise ConfigError(
-                f"d_over_lambda={cfg.d_over_lambda} must be 0.5 for the MLP: "
-                "only half-wavelength spacing gives each group M_q candidates"
-            )
+        """Layout for ``cfg``: one branch of ``M_q`` candidates per group."""
         return cls(M=tuple(int(m) for m in cfg.M))
 
     @property
@@ -397,10 +384,9 @@ def generate_dataset(
 ) -> Dataset:
     """Run the front end over a (theta, snr) grid and collect samples.
 
-    The layout check (:meth:`MlpSpec.from_config`) and every cell's
-    scenario come before the first trial, so a spacing other than half a
-    wavelength, an invalid angle, SNR or snapshot count, an empty grid,
-    a ``trials_per_cell`` that is not an integer of at least 1 or a
+    Every cell's scenario is checked before the first trial, so an
+    invalid angle, SNR or snapshot count, an empty grid, a
+    ``trials_per_cell`` that is not an integer of at least 1 or a
     ``master_seed`` that is not one of at least 0 raises ``ConfigError``
     before any work.
     Cells where any group's subspace collapses are skipped and counted,
@@ -589,14 +575,13 @@ def load_model(path) -> MlpModel:
 def load_model_for(cfg: ArrayConfig, path) -> MlpModel:
     """Load the model at ``path`` and check that it fits ``cfg``.
 
-    The layout check (:meth:`MlpSpec.from_config`) runs before the file
-    is read.  A model saved for other subarray sizes would read the
-    wrong groups' candidates, or none, so it is refused too.
+    A model saved for other subarray sizes would read the wrong groups'
+    candidates, or none, so it is refused.
 
     Raises
     ------
     ConfigError
-        If ``cfg`` has no MLP layout, or the model's ``M`` differs from it.
+        If the model's ``M`` differs from ``cfg``'s.
     ModelFormatError, OSError
         If the file cannot be read as a model.
     """

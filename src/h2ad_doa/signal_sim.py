@@ -96,6 +96,9 @@ GROUP_CONSTANTS_CACHE_SIZE = 128
 #: 13% faster at 12800.
 FAN_OUT_MIN_BLOCK = 8192
 
+#: Inexact scalar types that ``numpy.linalg`` refuses to factor.
+UNSOLVABLE_DTYPES = (np.float16, np.longdouble, np.clongdouble)
+
 #: Holds each thread's Philox as ``philox`` (:func:`_generator`).
 _local = threading.local()
 
@@ -381,10 +384,12 @@ def simulate_group(scenario: SimScenario, q: int) -> np.ndarray:
 
 def sample_covariance(block: np.ndarray) -> np.ndarray:
     """Sample covariance ``(1/T) * S @ S^H`` of a ``(K_q, T)`` block ``S``,
-    forced exactly Hermitian; any other block raises ``ValueError``."""
+    forced exactly Hermitian; any other block, or one of
+    :data:`UNSOLVABLE_DTYPES`, raises ``ValueError``."""
     if not (isinstance(block, np.ndarray) and block.ndim == 2 and block.shape[1] >= 1
-            and block.dtype.kind in "fc"):
+            and block.dtype.kind in "fc" and block.dtype.type not in UNSOLVABLE_DTYPES):
         raise ValueError(f"need a 2-D float or complex (K_q, T) block with T >= 1, "
+                         "solvable by numpy.linalg, "
                          f"got shape {np.shape(block)} dtype {getattr(block, 'dtype', None)}")
     r = block @ block.conj().T
     r /= block.shape[1]

@@ -113,9 +113,9 @@ class NoRootFoundError(RuntimeError):
 class CandidateSet:
     """All angles of one group consistent with its root-MUSIC phase.
 
-    ``angles`` is strictly ascending, in radians, of length ``M_q`` for
-    half-wavelength element spacing.  Exactly one entry is the true
-    angle; the rest are the group's pseudo-solutions.
+    ``angles`` is strictly ascending, in radians, of length ``M_q``.
+    Exactly one entry is the true angle; the rest are the group's
+    pseudo-solutions.
     """
 
     phase_hat: float
@@ -595,10 +595,10 @@ def enumerate_candidates(phase_hat: float, geom: GroupGeometry) -> CandidateSet:
 
     Collects every integer ``j`` for which
     ``sin(theta) = (phase_hat + 2*pi*j) / (2*pi*M_q*d)`` lands
-    in ``[-1, 1]``.  At half-wavelength spacing that yields ``M_q``
-    angles, or ``M_q + 1`` when the phase folds exactly onto the visible
-    boundary, in which case the entry of largest ``|sin|`` is dropped
-    (the positive one on an exact tie).
+    in ``[-1, 1]``.  That yields ``M_q`` angles, or ``M_q + 1`` when the
+    phase folds exactly onto the visible boundary, in which case the
+    entry of largest ``|sin|`` is dropped (the positive one on an exact
+    tie).
     """
     scale = 1.0 / (2.0 * np.pi * geom.virtual_spacing)
     two_pi = 2.0 * np.pi

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from h2ad_doa.array_model import ArrayConfig, gain_coefficient, virtual_steering
+from h2ad_doa.array_model import SPACING, ArrayConfig, gain_coefficient, virtual_steering
 from h2ad_doa.fusion import _guard_angle, fused_crlb, weights_crlb_ratio, weights_exact
 from h2ad_doa.signal_sim import (
     _EMITTER_STREAM,
@@ -72,7 +72,7 @@ def crlb_group_approx(
         * np.cos(theta0) ** 2
         * k_q
         * (k_q**2 - 1)
-        * geom.spacing**2
+        * SPACING**2
         * geom.subarray_size**2
     )
     return float(12.0 / denominator)

@@ -398,26 +398,21 @@ def test_cli_malformed_config_document_is_exit_2(tmp_path, capsys, document, sho
     ("M", "7", '"7"'),
     ("K", [16.9, 16, 16], "16.9"),
     ("K", [None, 16, 16], "null"),
-    ("d_over_lambda", None, "null"),
-    ("d_over_lambda", "0.5", '"0.5"'),
-    ("d_over_lambda", True, "true"),
-    ("d_over_lambda", math.inf, "Infinity"),
-    ("d_over_lambda", 10**400, "1" + "0" * 400),
     ("M", [10**30 + 1, 11, 13], str(10**30 + 1)),
     ("K", [10**6, 16, 16], "1000000"),
     ("lambda_m", 1.0, "unknown config keys ['lambda_m']"),
+    ("d_over_lambda", 0.5, "unknown config keys ['d_over_lambda']"),
 ], ids=["groups-null", "groups-str", "groups-fraction", "groups-bool", "M-fraction",
         "M-bool", "M-str-member", "M-str", "K-fraction", "K-null-member",
-        "spacing-null", "spacing-str", "spacing-bool", "spacing-inf",
-        "spacing-huge-int", "M-huge", "K-huge", "lambda-key"])
+        "M-huge", "K-huge", "lambda-key", "spacing-key"])
 def test_cli_bad_config_value_is_exit_2(tmp_path, capsys, field, value, shown):
     # Each value is refused as read, naming its key and showing it as
     # written; int() and float() would truncate fractions, turn true into
     # 1, parse numeric strings and fail on null with a TypeError.  A
     # subarray size or count above its limit is refused before any trial.
-    # Lengths are in wavelengths, so a wavelength key is unknown, not ignored.
-    raw = {"groups": 3, "M": [7, 11, 13], "K": [16, 16, 16],
-           "d_over_lambda": 0.5, field: value}
+    # Lengths are in wavelengths and elements sit half a wavelength apart,
+    # so a wavelength or spacing key is unknown, not ignored.
+    raw = {"groups": 3, "M": [7, 11, 13], "K": [16, 16, 16], field: value}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert cli_main(["validate", "--config", str(path)]) == 2
@@ -445,7 +440,8 @@ def test_cli_memory_error_is_exit_3(cfg_file, tmp_path, capsys, monkeypatch,
 
 def test_cli_estimate_rejects_grating_lobe_spacing(tmp_path, capsys):
     # above half a wavelength a group's virtual array has more than M_q
-    # candidates and the element array itself aliases the angle
+    # candidates and the element array itself aliases the angle; the
+    # spacing is fixed at half a wavelength, so the key is refused
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"groups": 3, "M": [7, 11, 13], "K": [16, 16, 16],
                                 "d_over_lambda": 0.7}))
@@ -463,11 +459,31 @@ def test_cli_unknown_subcommand_is_exit_2(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_cli_runtime_failure_is_exit_3(cfg_file):
-    # plug-in CRLB guard trips at wide angles
-    rc = cli_main(["estimate", "--config", cfg_file, "--theta0-deg", "89",
+def test_cli_runtime_failure_is_exit_3(cfg_file, capsys, monkeypatch):
+    # a group whose front end fails aborts the estimate
+    def failing(scenario):
+        raise GroupFailureError(1, ValueError("degenerate noise subspace"))
+
+    monkeypatch.setattr(cli, "group_candidates", failing)
+    rc = cli_main(["estimate", "--config", cfg_file, "--theta0-deg", "41",
                    "--snr-db", "20", "--snapshots", "64"])
     assert rc == 3
+    assert capsys.readouterr().err == "error: group 1 failed: degenerate noise subspace\n"
+
+
+@pytest.mark.parametrize("theta0_deg, snr_db", [("75", "10"), ("89", "20"), ("75", "inf")])
+def test_cli_estimate_beyond_crlb_guard(cfg_file, capsys, theta0_deg, snr_db):
+    # past the exact-CRLB guard the bound and its weights are undefined:
+    # the crlb_ratio answer is printed and the exact fields read null, as
+    # the bench's bound column reads NaN there
+    rc = cli_main(["estimate", "--config", cfg_file, "--theta0-deg", theta0_deg,
+                   "--snr-db", snr_db, "--snapshots", "64", "--seed", "3", "--json"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert abs(data["fused_deg_crlb_ratio"] - float(theta0_deg)) < 0.5
+    for key in ("weights_exact_crlb", "fused_deg_exact_crlb", "crlb_per_group_rad2",
+                "crlb_fused_rad2"):
+        assert data[key] is None
 
 
 def test_cli_estimate_json(cfg_file, capsys):
@@ -624,6 +640,21 @@ def test_cli_bench_beyond_crlb_guard(cfg_file, tmp_path):
     assert emit_csv(parse_csv(text)) == text
 
 
+@pytest.mark.parametrize("flag, text, clean", [
+    ("--snr-grid", "10,", "10"),
+    ("--methods", "crlb_ratio,", "crlb_ratio"),
+    ("--methods", " crlb_ratio , exact_crlb ,,", "crlb_ratio,exact_crlb"),
+], ids=["snr-grid-trailing-comma", "methods-trailing-comma", "methods-blanks"])
+def test_cli_bench_comma_lists_skip_blank_entries(cfg_file, capsys, flag, text, clean):
+    # every comma list reads one way: entries are trimmed and blank ones skipped
+    def sweep(value):
+        assert cli_main(["bench", "--config", cfg_file, "--snr-grid", "10",
+                         "--snapshot-grid", "32", "--trials", "2", flag, value]) == 0
+        return [replace(r, wall_ms=0.0) for r in parse_csv(capsys.readouterr().out)]
+
+    assert sweep(text) == sweep(clean)
+
+
 def test_cli_bench_rejects_bad_method(cfg_file):
     assert cli_main(["bench", "--config", cfg_file, "--methods", "magic",
                      "--trials", "1"]) == 2
@@ -633,34 +664,26 @@ _ONE_CELL = ["--snr-min", "10", "--snr-max", "10", "--trials", "1"]
 
 
 @pytest.mark.parametrize(
-    "argv, field, spacing",
+    "argv, field",
     [
-        (["bench", "--snapshot-grid", "0", "--trials", "1"], "snapshots", 0.5),
-        (["bench", "--snr-grid=-inf", "--trials", "1"], "snr_db", 0.5),
-        (["bench", "--snr-grid", "nan,10", "--trials", "1"], "snr_db", 0.5),
+        (["bench", "--snapshot-grid", "0", "--trials", "1"], "snapshots"),
+        (["bench", "--snr-grid=-inf", "--trials", "1"], "snr_db"),
+        (["bench", "--snr-grid", "nan,10", "--trials", "1"], "snr_db"),
         (["dataset", "--theta-min", "-90", "--theta-max", "90",
-          "--theta-step", "90", *_ONE_CELL], "theta0", 0.5),
+          "--theta-step", "90", *_ONE_CELL], "theta0"),
         (["dataset", "--snapshots", "0", "--theta-step", "30", *_ONE_CELL],
-         "snapshots", 0.5),
-        (["estimate", "--snapshots", "0"], "snapshots", 0.5),
-        (["estimate", "--theta0-deg", "95"], "theta0", 0.5),
-        (["dataset", "--theta-step", "30", *_ONE_CELL], "d_over_lambda", 0.4),
-        (["train", "--dataset", "missing.npz"], "d_over_lambda", 0.4),
-        (["predict"], "d_over_lambda", 0.4),
-        (["bench", "--snr-grid", "1,x", "--trials", "1"], "bad grid '1,x'", 0.5),
+         "snapshots"),
+        (["estimate", "--snapshots", "0"], "snapshots"),
+        (["estimate", "--theta0-deg", "95"], "theta0"),
+        (["bench", "--snr-grid", "1,x", "--trials", "1"], "bad grid '1,x'"),
     ],
     ids=["bench-T0", "bench-snr-neginf", "bench-snr-nan", "dataset-endfire",
-         "dataset-T0", "estimate-T0", "estimate-theta95", "dataset-spacing0.4",
-         "train-spacing0.4", "predict-spacing0.4", "bench-snr-grid-text"],
+         "dataset-T0", "estimate-T0", "estimate-theta95", "bench-snr-grid-text"],
 )
-def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field, spacing):
-    # rejected at construction: exit 2 naming the field, and no output file.
-    # The MLP commands need half-wavelength spacing, which gives each group
-    # M_q candidates; train checks it before it reads the dataset, and
-    # predict before it reads the model (here the missing output path).
-    save_config(replace(BASE_CFG, d_over_lambda=spacing), cfg_file)
+def test_cli_invalid_scenario_is_exit_2(cfg_file, tmp_path, capsys, argv, field):
+    # rejected at construction: exit 2 naming the field, and no output file
     out = str(tmp_path / "out")
-    output = {"estimate": [], "predict": ["--model", out]}.get(argv[0], ["--out", out])
+    output = [] if argv[0] == "estimate" else ["--out", out]
     assert cli_main([argv[0], "--config", cfg_file, *argv[1:], *output]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err

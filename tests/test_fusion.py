@@ -428,9 +428,13 @@ HERM16 = EYE16 + 0.5 * np.outer(_STEER16, _STEER16.conj())
     [HERM16, HERM16, np.triu(HERM16)],
     [HERM16, HERM16 + 1j * EYE16, HERM16],
     [HERM16.astype(str)] * 3,
+    # numpy.linalg refuses these with a TypeError
+    [EYE16.real.astype(np.float16)] * 3,
+    [EYE16.real.astype(np.longdouble)] * 3,
+    [EYE16, EYE16.astype(np.clongdouble), EYE16],
 ], ids=["two-groups", "four-groups", "k15-g1", "non-square-g2", "stacked-g2", "lists",
         "upper-plus-1j-g0", "upper-doubled-g1", "lower-zeroed-g2", "imaginary-diagonal-g1",
-        "strings"])
+        "strings", "float16", "longdouble", "clongdouble-g1"])
 def test_candidates_from_covariances_refuses_wrong_shapes(covs):
     with pytest.raises(ValueError, match="covariance per group"):
         candidates_from_covariances(BASE_CFG, covs)

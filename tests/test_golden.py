@@ -252,3 +252,47 @@ def test_annotations_resolve():
             except Exception as err:  # reported all at once below
                 unresolved.append(f"{name}.{getattr(obj, '__qualname__', '')}: {err!r}")
     assert unresolved == []
+
+
+#: Spacing names another module may read: the shared constant and a
+#: group's virtual-array spacing, both defined in ``array_model``.
+SPACING_READS = ("SPACING", "virtual_spacing")
+
+
+def _spacing_names(path):
+    """``name:line: identifier`` for every identifier in the module at
+    ``path`` that names a spacing or a wavelength, other than a read of
+    ``SPACING_READS``.  Parsed, not run; an import is a read."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=path.name)):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            read = isinstance(node.ctx, ast.Load)
+        elif isinstance(node, ast.alias):
+            name, read = node.asname or node.name, True
+        elif isinstance(node, ast.arg):
+            name, read = node.arg, False
+        elif isinstance(node, ast.keyword):
+            name, read = node.arg or "", False
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name, read = node.name, False
+        else:
+            continue
+        if ("spacing" in name.lower() or "lambda" in name.lower()) and not (
+            read and name in SPACING_READS
+        ):
+            found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_spacing_is_defined_once():
+    # Elements sit half a wavelength apart: array_model.SPACING is the one
+    # spacing, and every other module reads it or a group's virtual_spacing,
+    # so no second spacing, field or config key can drift from it.
+    package = ROOT / "src" / "h2ad_doa"
+    assert _spacing_names(package / "array_model.py")  # the detector sees the rule
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "array_model.py":
+            found += _spacing_names(path)
+    assert found == []

@@ -386,21 +386,6 @@ def test_generate_dataset_rejects_empty_request(monkeypatch, kw, match):
     assert calls == []
 
 
-@pytest.mark.parametrize("spacing", [0.4, 0.25])
-def test_mlp_layout_rejects_spacing_other_than_half_wavelength(monkeypatch, spacing):
-    # a closer spacing gives a group fewer than M_q candidates (6 for M=7 at
-    # 0.4), which the feature layout cannot hold: refused before any trial
-    cfg = ArrayConfig(M=(7, 11, 13), K=(16, 16, 16), d_over_lambda=spacing)
-    with pytest.raises(ConfigError, match="d_over_lambda"):
-        MlpSpec.from_config(cfg)
-    calls = []
-    monkeypatch.setattr(mbdnn, "group_candidates", lambda sc: calls.append(sc))
-    with pytest.raises(ConfigError, match="d_over_lambda"):
-        generate_dataset(cfg, thetas_deg=[10.0], snrs_db=[10.0], trials_per_cell=1,
-                         snapshots=32)
-    assert calls == []
-
-
 def test_dataset_round_trip(tmp_path):
     ds = random_dataset(10, seed=5)
     path = tmp_path / "ds.npz"
