@@ -52,6 +52,18 @@ def test_validate_accepts_base_config():
         (dict(M=(1, 11), K=(16, 16)), GroupTooSmallError),
         (dict(M=(7, 11), K=(16, 1)), GroupTooSmallError),
         (dict(M=(6, 9), K=(16, 16)), NonCoprimeError),
+        # check_integer refuses every non-integer M_q and K_q by type,
+        # before any range or size check
+        (dict(M=(7, 11.0), K=(16, 16)), ConfigError),
+        (dict(M=(7, 11), K=(16, -1.0)), ConfigError),
+        (dict(M=(7, np.float64(11.0)), K=(16, 16)), ConfigError),
+        (dict(M=(7, math.inf), K=(16, 16)), ConfigError),
+        (dict(M=(7, 11), K=(16, math.nan)), ConfigError),
+        (dict(M=(7, 11), K=(16, 1e300)), ConfigError),
+        (dict(M=(7, True), K=(16, 16)), ConfigError),
+        (dict(M=(7, 11j), K=(16, 16)), ConfigError),
+        (dict(M=(7, "11"), K=(16, 16)), ConfigError),
+        (dict(M=(7, 11), K=(16, None)), ConfigError),
         (dict(M=(10**30 + 1, 11, 13), K=(16, 16, 16)), ConfigError),
         (dict(M=(257, 11), K=(16, 16)), ConfigError),
         (dict(M=(7, 11, 13), K=(10**6, 16, 16)), ConfigError),
