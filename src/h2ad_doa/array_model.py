@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 #: Keys accepted in a config file, in canonical order.
-CONFIG_KEYS = ("groups", "M", "K")
+CONFIG_KEYS = ("M", "K")
 
 #: Element spacing ``d`` in wavelengths.  Half a wavelength is the widest
 #: spacing without grating lobes, and it gives each group exactly ``M_q``
@@ -68,25 +68,6 @@ def check_real(field: str, value) -> None:
     scalar = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
     if isinstance(scalar, bool) or not isinstance(scalar, numbers.Real):
         raise ConfigError(f"{field}={value!r} must be a real number")
-
-
-class NonCoprimeError(ConfigError):
-    """Two subarray sizes share a common factor."""
-
-    def __init__(self, q: int, k: int, m_q: int, m_k: int):
-        self.groups = (q, k)
-        super().__init__(
-            f"subarray sizes M[{q}]={m_q} and M[{k}]={m_k} share a factor "
-            f"{math.gcd(m_q, m_k)}; group sizes must be pairwise coprime"
-        )
-
-
-class GroupTooSmallError(ConfigError):
-    """A group with fewer than two subarrays or two antennas per subarray."""
-
-    def __init__(self, q: int, what: str, value: int):
-        self.group = q
-        super().__init__(f"group {q}: {what}={value}, need at least 2")
 
 
 @dataclass(frozen=True)
@@ -162,14 +143,11 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
 
     Raises
     ------
-    NonCoprimeError
-        If any two subarray sizes share a common factor.
-    GroupTooSmallError
-        If any ``M_q < 2`` or ``K_q < 2``.
     ConfigError
-        On shape or type problems (mismatched lists, an ``M_q`` or
-        ``K_q`` that :func:`check_integer` refuses), ``M_q`` above
-        ``MAX_SUBARRAY_SIZE`` or ``K_q`` above ``MAX_SUBARRAYS``.
+        If any two subarray sizes share a common factor, if any ``M_q < 2``
+        or ``K_q < 2``, or on shape or type problems (mismatched lists, an
+        ``M_q`` or ``K_q`` that :func:`check_integer` refuses), ``M_q``
+        above ``MAX_SUBARRAY_SIZE`` or ``K_q`` above ``MAX_SUBARRAYS``.
     """
     if len(cfg.M) == 0:
         raise ConfigError("configuration has no groups")
@@ -181,13 +159,17 @@ def validate_config(cfg: ArrayConfig) -> ArrayConfig:
         check_integer(f"M[{q}]", m, None, MAX_SUBARRAY_SIZE)
         check_integer(f"K[{q}]", k, None, MAX_SUBARRAYS)
         if m < 2:
-            raise GroupTooSmallError(q, "subarray size M", m)
+            raise ConfigError(f"group {q}: subarray size M={m}, need at least 2")
         if k < 2:
-            raise GroupTooSmallError(q, "subarray count K", k)
+            raise ConfigError(f"group {q}: subarray count K={k}, need at least 2")
     for q in range(len(cfg.M)):
         for k in range(q + 1, len(cfg.M)):
-            if math.gcd(cfg.M[q], cfg.M[k]) != 1:
-                raise NonCoprimeError(q, k, cfg.M[q], cfg.M[k])
+            factor = math.gcd(cfg.M[q], cfg.M[k])
+            if factor != 1:
+                raise ConfigError(
+                    f"subarray sizes M[{q}]={cfg.M[q]} and M[{k}]={cfg.M[k]} share a "
+                    f"factor {factor}; group sizes must be pairwise coprime"
+                )
     return cfg
 
 
@@ -263,9 +245,10 @@ def _integer(key: str, value) -> int:
 def load_config(path) -> ArrayConfig:
     """Read and validate a JSON config file.
 
-    Expected keys: ``groups`` (int), ``M`` (list), ``K`` (list).
-    Unknown keys are rejected, and so is any value of the wrong type:
-    booleans, strings and null, and a fraction where an integer is expected.
+    Expected keys: ``M`` and ``K``, lists of integers; the group count is
+    their length.  Unknown keys are rejected, and so is any value of the
+    wrong type: booleans, strings and null, and a fraction where an integer
+    is expected.
     """
     try:
         with open(path) as fh:
@@ -277,29 +260,21 @@ def load_config(path) -> ArrayConfig:
     unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; allowed: {list(CONFIG_KEYS)}")
-    for key in ("groups", "M", "K"):
+    for key in CONFIG_KEYS:
         if key not in raw:
             raise ConfigError(f"config {path} is missing required key '{key}'")
-    for key in ("M", "K"):
+    for key in CONFIG_KEYS:
         if not isinstance(raw[key], list):
             raise ConfigError(
                 f"{key} must be a list of integers, got {json.dumps(raw[key])}"
             )
     M = tuple(_integer(f"M[{i}]", v) for i, v in enumerate(raw["M"]))
     K = tuple(_integer(f"K[{i}]", v) for i, v in enumerate(raw["K"]))
-    groups = _integer("groups", raw["groups"])
-    if groups != len(M):
-        raise ConfigError(f"groups={groups} does not match len(M)={len(M)}")
     return ArrayConfig(M=M, K=K)
 
 
 def save_config(cfg: ArrayConfig, path) -> None:
     """Write a configuration as a JSON config file."""
-    raw = {
-        "groups": cfg.num_groups,
-        "M": list(cfg.M),
-        "K": list(cfg.K),
-    }
     with open(path, "w") as fh:
-        json.dump(raw, fh, indent=2)
+        json.dump({"M": list(cfg.M), "K": list(cfg.K)}, fh, indent=2)
         fh.write("\n")

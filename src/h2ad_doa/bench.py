@@ -39,10 +39,6 @@ METHODS = WEIGHTING_METHODS + ("mbdnn",)
 TRIAL_ERRORS = (GroupFailureError, AngleOutOfGuardError, NonPositiveCrlbError)
 
 
-class EmptyTrialSetError(ValueError):
-    """RMSE requested over zero estimates."""
-
-
 @dataclass(frozen=True)
 class BenchSpec:
     """One sweep request.
@@ -103,10 +99,11 @@ CSV_HEADER = ",".join(f.name for f in fields(ResultRow))
 
 
 def compute_rmse(estimates_deg: Sequence[float], theta0_deg: float) -> float:
-    """Root-mean-squared error of angle estimates, in degrees."""
+    """Root-mean-squared error of angle estimates, in degrees; no estimates
+    raise ``ValueError``."""
     values = np.asarray(estimates_deg, dtype=float)
     if values.size == 0:
-        raise EmptyTrialSetError("no estimates to average")
+        raise ValueError("no estimates to average")
     return float(np.sqrt(np.mean((values - theta0_deg) ** 2)))
 
 

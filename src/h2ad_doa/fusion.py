@@ -279,13 +279,14 @@ def fused_crlb(
 
 
 def candidates_from_covariances(
-    cfg: ArrayConfig, covs: Sequence[np.ndarray]
+    cfg: ArrayConfig, covs: Iterable[np.ndarray]
 ) -> tuple[CandidateSet, ...]:
     """Root and unfold one (K_q, K_q) covariance per group, in group order.
 
-    ``covs`` may be simulated, or :func:`sample_covariance` of recorded
-    ``(K_q, T)`` blocks.  The groups that share a ``K_q`` go through
-    :func:`noise_subspaces` and :func:`root_music_phases` together; every
+    ``covs``, any iterable, is read once; it may be simulated, or
+    :func:`sample_covariance` of recorded ``(K_q, T)`` blocks.  The groups
+    that share a ``K_q`` go through :func:`noise_subspaces` and
+    :func:`root_music_phases` together; every
     candidate set equals the per-group chain's bit for bit.  If a stack
     fails, the same covariances are rooted again one group per stack, in
     group order, so the :class:`GroupFailureError` that aborts the trial
@@ -295,6 +296,7 @@ def candidates_from_covariances(
     :data:`~h2ad_doa.signal_sim.UNSOLVABLE_DTYPES`, or a matrix that is not
     exactly Hermitian (the eigensolvers read only its lower triangle).
     """
+    covs = tuple(covs)
     shapes = tuple(getattr(c, "shape", None) for c in covs)
     if shapes != tuple((k, k) for k in cfg.K):
         raise ValueError(f"need one (K_q, K_q) covariance per group of K={cfg.K}, got {shapes}")
@@ -372,8 +374,7 @@ def fuse_candidates(
     ``snr_db`` and ``snapshots``, then weights by inverse CRLB.  Without
     them, ``exact_crlb`` raises ``ConfigError`` (:func:`fused_crlb`).
     """
-    if method not in WEIGHTING_METHODS:
-        raise ValueError(f"unknown weighting method {method!r}")
+    _check_method(method)
     selected = select_true_tuple(sets)
     report = None
     if method == "crlb_ratio":
@@ -390,9 +391,16 @@ def fuse_candidates(
     )
 
 
+def _check_method(method: str) -> None:
+    if method not in WEIGHTING_METHODS:
+        raise ValueError(f"unknown weighting method {method!r}")
+
+
 def estimate_doa(scenario: SimScenario, method: str = "crlb_ratio") -> FusedEstimate:
     """Full pipeline: :func:`group_candidates`, then :func:`fuse_candidates`
-    at the scenario's SNR and snapshot count."""
+    at the scenario's SNR and snapshot count.  An unknown ``method`` is
+    refused before the trial is drawn."""
+    _check_method(method)
     return fuse_candidates(
         scenario.cfg, group_candidates(scenario), method, scenario.snr_db, scenario.snapshots
     )

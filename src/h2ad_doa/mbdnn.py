@@ -50,19 +50,6 @@ STAGES = ("mb_fcnn", "fusion_net", "joint")
 _TABLE_RANKS = {"features": 2, "label_tuple": 2, "label_theta": 1, "snr_db": 1}
 
 
-class ShapeMismatchError(ValueError):
-    """Input whose shape does not match the model's feature layout."""
-
-
-class NonFiniteLossError(RuntimeError):
-    """Training loss left the finite range."""
-
-    def __init__(self, stage: str, epoch: int, value: float):
-        self.stage = stage
-        self.epoch = epoch
-        super().__init__(f"{stage} loss became {value} at epoch {epoch}")
-
-
 class ModelFormatError(IOError):
     """A model file that cannot be loaded; every refusal of :func:`load_model`."""
 
@@ -153,7 +140,7 @@ def _as_batch(spec: MlpSpec, features: np.ndarray) -> np.ndarray:
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2 or x.shape[1] != spec.feature_length:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"features shape {np.shape(features)} does not match "
             f"feature length {spec.feature_length}"
         )
@@ -360,14 +347,14 @@ def features_from_candidates(
 ) -> np.ndarray:
     """Concatenate candidate sets into one feature row (degrees)."""
     if len(sets) != spec.num_groups:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"{len(sets)} candidate sets for {spec.num_groups} groups"
         )
     blocks = []
     for q, cs in enumerate(sets):
         angles = np.degrees(np.asarray(cs.angles, dtype=float))
         if angles.size != spec.M[q]:
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"group {q} has {angles.size} candidates, expected {spec.M[q]}"
             )
         blocks.append(np.sort(angles))
@@ -446,7 +433,9 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
     loss has gradients for, and Adam keeps moments for those alone.
 
     A dataset without one model-length feature row, one label per group
-    and one true angle per sample raises ``ShapeMismatchError`` first.
+    and one true angle per sample raises ``ValueError`` first, and a loss
+    that leaves the finite range raises ``RuntimeError`` naming the stage,
+    epoch and value.
 
     Returns
     -------
@@ -456,7 +445,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     if dataset.features.shape[1] != model.spec.feature_length:
-        raise ShapeMismatchError(
+        raise ValueError(
             f"dataset feature length {dataset.features.shape[1]} does not "
             f"match model feature length {model.spec.feature_length}"
         )
@@ -464,7 +453,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
     for name, shape in (("label_tuple", (rows, groups)), ("label_theta", (rows,))):
         actual = np.shape(getattr(dataset, name))
         if actual != shape:
-            raise ShapeMismatchError(
+            raise ValueError(
                 f"dataset {name} shape {actual}, expected {shape} for {rows} "
                 f"samples of {groups} groups"
             )
@@ -485,7 +474,7 @@ def train(model: MlpModel, dataset: Dataset, cfg: TrainConfig):
                 dataset.label_theta[batch],
             )
             if not np.isfinite(value):
-                raise NonFiniteLossError(cfg.stage, epoch, value)
+                raise RuntimeError(f"{cfg.stage} loss became {value} at epoch {epoch}")
             epoch_loss += value * batch.size
             step += 1
             for name, g in grads.items():

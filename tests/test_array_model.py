@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from h2ad_doa.array_model import (
     ArrayConfig,
     MAX_SUBARRAY_SIZE,
     MAX_SUBARRAYS,
+    CONFIG_KEYS,
     ConfigError,
-    GroupTooSmallError,
-    NonCoprimeError,
     element_steering,
     gain_coefficient,
     load_config,
@@ -49,9 +49,9 @@ def test_validate_accepts_base_config():
         (dict(M=(), K=()), ConfigError),
         (dict(M=(7, 11), K=(16,)), ConfigError),
         (dict(M=(7, 11.5), K=(16, 16)), ConfigError),
-        (dict(M=(1, 11), K=(16, 16)), GroupTooSmallError),
-        (dict(M=(7, 11), K=(16, 1)), GroupTooSmallError),
-        (dict(M=(6, 9), K=(16, 16)), NonCoprimeError),
+        (dict(M=(1, 11), K=(16, 16)), ConfigError),
+        (dict(M=(7, 11), K=(16, 1)), ConfigError),
+        (dict(M=(6, 9), K=(16, 16)), ConfigError),
         # check_integer refuses every non-integer M_q and K_q by type,
         # before any range or size check
         (dict(M=(7, 11.0), K=(16, 16)), ConfigError),
@@ -77,6 +77,16 @@ def test_validate_rejects(kwargs, exc):
         validate_config(ArrayConfig(**kwargs))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(M=(1, 11), K=(16, 16)), "group 0: subarray size M=1, need at least 2"),
+    (dict(M=(7, 11), K=(16, 1)), "group 1: subarray count K=1, need at least 2"),
+], ids=["M-below-2", "K-below-2"])
+def test_validate_too_small_group_is_named(kwargs, message):
+    with pytest.raises(ConfigError) as info:
+        ArrayConfig(**kwargs)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("q", [-1, 3, True, 1.0])
 def test_group_refuses_an_index_outside_the_groups(q):
     # -1 read the last group and True group 1, so crlb_group_exact gave
@@ -91,10 +101,11 @@ def test_validate_accepts_size_limits():
 
 
 def test_noncoprime_error_names_the_pair():
-    with pytest.raises(NonCoprimeError) as info:
+    with pytest.raises(ConfigError) as info:
         validate_config(ArrayConfig(M=(4, 7, 10), K=(8, 8, 8)))
-    assert info.value.groups == (0, 2)
-    assert "factor 2" in str(info.value)
+    assert str(info.value) == (
+        "subarray sizes M[0]=4 and M[2]=10 share a factor 2; group sizes must be pairwise coprime"
+    )
 
 
 def test_coprime_fuzz():
@@ -109,8 +120,14 @@ def test_coprime_fuzz():
             validate_config(ArrayConfig(M=m, K=(4, 4, 4)))
             accepted += 1
         else:
-            with pytest.raises(NonCoprimeError):
+            q, k = next((i, j) for i in range(3) for j in range(i + 1, 3)
+                        if math.gcd(m[i], m[j]) != 1)
+            with pytest.raises(ConfigError) as info:
                 validate_config(ArrayConfig(M=m, K=(4, 4, 4)))
+            assert str(info.value) == (
+                f"subarray sizes M[{q}]={m[q]} and M[{k}]={m[k]} share a factor "
+                f"{math.gcd(m[q], m[k])}; group sizes must be pairwise coprime"
+            )
     assert accepted > 30  # the draw actually exercises both branches
 
 
@@ -216,7 +233,7 @@ def test_config_file_round_trip_and_every_cut(tmp_path_factory, cfg):
 
 def test_load_config_accepts_integral_numbers(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"groups": 3.0, "M": [7.0, 11, 13], "K": [16, 16.0, 16]}))
+    path.write_text(json.dumps({"M": [7.0, 11, 13], "K": [16, 16.0, 16]}))
     cfg = load_config(path)
     assert cfg == ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
     assert all(type(v) is int for v in (*cfg.M, *cfg.K))
@@ -225,17 +242,30 @@ def test_load_config_accepts_integral_numbers(tmp_path):
 def test_load_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(
-        json.dumps({"groups": 1, "M": [7], "K": [4], "frequency": 3e9})
+        json.dumps({"M": [7], "K": [4], "frequency": 3e9})
     )
     with pytest.raises(ConfigError):
         load_config(path)
 
 
 def test_load_config_rejects_group_count_mismatch(tmp_path):
+    # the group count is len(M); a groups key, matching it or not, is refused
+    assert CONFIG_KEYS == ("M", "K")
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"groups": 2, "M": [7, 11, 13], "K": [4, 4, 4]}))
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for groups in (2, 3):
+        path.write_text(json.dumps({"groups": groups, "M": [7, 11, 13], "K": [4, 4, 4]}))
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == "unknown config keys ['groups']; allowed: ['M', 'K']"
+
+
+def test_readme_config_block_loads(tmp_path):
+    # the documented config format is the one load_config reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [block] = re.findall(r"^```json\n(.*?)^```", readme, re.M | re.S)
+    path = tmp_path / "cfg.json"
+    path.write_text(block)
+    assert load_config(path) == ArrayConfig(M=(7, 11, 13), K=(16, 16, 16))
 
 
 def test_load_config_missing_file_is_config_error(tmp_path):
@@ -247,7 +277,7 @@ def test_load_config_missing_file_is_config_error(tmp_path):
 # the field's range with a None bound open)
 _INTEGER_FIELDS = {
     ("ArrayConfig", "M[1]"): (lambda v: ArrayConfig(M=(7, v, 13), K=(16, 16, 16)), 11,
-                              (None, MAX_SUBARRAY_SIZE)),  # below 2: GroupTooSmallError
+                              (None, MAX_SUBARRAY_SIZE)),  # below 2: validate_config's size check
     ("ArrayConfig", "K[1]"): (lambda v: ArrayConfig(M=(7, 11, 13), K=(16, v, 16)), 16,
                               (None, MAX_SUBARRAYS)),
     ("SimScenario", "snapshots"): (lambda v: SimScenario(BASE_CFG, 0.5, 10.0, v), 32, (1, None)),

@@ -20,7 +20,6 @@ from h2ad_doa.bench import (
     CSV_HEADER,
     METHODS,
     BenchSpec,
-    EmptyTrialSetError,
     ResultRow,
     compute_rmse,
     emit_csv,
@@ -55,8 +54,9 @@ def test_compute_rmse_formula_and_sampling_oracle():
     assert compute_rmse([41.0, 43.0], 41.0) == pytest.approx(math.sqrt(2.0))
     draws = 41.0 + np.random.default_rng(0).normal(0.0, 0.5, size=5000)
     assert compute_rmse(draws, 41.0) == pytest.approx(0.5, abs=0.02)
-    with pytest.raises(EmptyTrialSetError):
+    with pytest.raises(ValueError) as info:
         compute_rmse([], 41.0)
+    assert str(info.value) == "no estimates to average"
 
 
 def test_spec_validation():
@@ -370,14 +370,14 @@ def test_cli_validate_ok(cfg_file, capsys):
 
 def test_cli_config_error_is_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"groups": 2, "M": [6, 9], "K": [4, 4]}))
+    path.write_text(json.dumps({"M": [6, 9], "K": [4, 4]}))
     assert cli_main(["validate", "--config", str(path)]) == 2
     assert "coprime" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("document, shown", [
     ([3, [7, 11, 13], [16, 16, 16]], "must be a JSON object"),
-    ({"groups": 3, "M": [7, 11, 13]}, "missing required key 'K'"),
+    ({"M": [7, 11, 13]}, "missing required key 'K'"),
 ], ids=["json-array", "missing-K"])
 def test_cli_malformed_config_document_is_exit_2(tmp_path, capsys, document, shown):
     path = tmp_path / "bad.json"
@@ -388,10 +388,10 @@ def test_cli_malformed_config_document_is_exit_2(tmp_path, capsys, document, sho
 
 
 @pytest.mark.parametrize("field, value, shown", [
-    ("groups", None, "null"),
-    ("groups", "abc", '"abc"'),
-    ("groups", 3.7, "3.7"),
-    ("groups", True, "true"),
+    ("groups", None, "unknown config keys ['groups']"),
+    ("groups", "abc", "unknown config keys ['groups']"),
+    ("groups", 3.7, "unknown config keys ['groups']"),
+    ("groups", True, "unknown config keys ['groups']"),
     ("M", [7.5, 11, 13], "7.5"),
     ("M", [True, 11, 13], "true"),
     ("M", ["7", 11, 13], '"7"'),
@@ -402,17 +402,19 @@ def test_cli_malformed_config_document_is_exit_2(tmp_path, capsys, document, sho
     ("K", [10**6, 16, 16], "1000000"),
     ("lambda_m", 1.0, "unknown config keys ['lambda_m']"),
     ("d_over_lambda", 0.5, "unknown config keys ['d_over_lambda']"),
+    ("groups", 3, "unknown config keys ['groups']"),
 ], ids=["groups-null", "groups-str", "groups-fraction", "groups-bool", "M-fraction",
         "M-bool", "M-str-member", "M-str", "K-fraction", "K-null-member",
-        "M-huge", "K-huge", "lambda-key", "spacing-key"])
+        "M-huge", "K-huge", "lambda-key", "spacing-key", "groups-key"])
 def test_cli_bad_config_value_is_exit_2(tmp_path, capsys, field, value, shown):
     # Each value is refused as read, naming its key and showing it as
     # written; int() and float() would truncate fractions, turn true into
     # 1, parse numeric strings and fail on null with a TypeError.  A
     # subarray size or count above its limit is refused before any trial.
     # Lengths are in wavelengths and elements sit half a wavelength apart,
-    # so a wavelength or spacing key is unknown, not ignored.
-    raw = {"groups": 3, "M": [7, 11, 13], "K": [16, 16, 16], field: value}
+    # so a wavelength or spacing key is unknown, not ignored; so is a group
+    # count, which is len(M), whatever its value.
+    raw = {"M": [7, 11, 13], "K": [16, 16, 16], field: value}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(raw))
     assert cli_main(["validate", "--config", str(path)]) == 2
@@ -443,8 +445,7 @@ def test_cli_estimate_rejects_grating_lobe_spacing(tmp_path, capsys):
     # candidates and the element array itself aliases the angle; the
     # spacing is fixed at half a wavelength, so the key is refused
     path = tmp_path / "wide.json"
-    path.write_text(json.dumps({"groups": 3, "M": [7, 11, 13], "K": [16, 16, 16],
-                                "d_over_lambda": 0.7}))
+    path.write_text(json.dumps({"M": [7, 11, 13], "K": [16, 16, 16], "d_over_lambda": 0.7}))
     assert cli_main(["estimate", "--config", str(path), "--theta0-deg", "41",
                      "--snr-db", "10", "--snapshots", "200", "--seed", "7"]) == 2
     assert "d_over_lambda" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import select
 import signal
 import sys
@@ -411,33 +412,48 @@ def test_stacked_failure_names_first_failing_group(monkeypatch, k, broken, label
 EYE16 = np.eye(16, dtype=complex)
 # a one-emitter covariance: identity plus a rank-one steering term
 _STEER16 = np.exp(0.3j * np.arange(16))
-HERM16 = EYE16 + 0.5 * np.outer(_STEER16, _STEER16.conj())
+_OUTER16 = 0.5 * np.outer(_STEER16, _STEER16.conj())
+# symmetrised, so that it is Hermitian to the last bit
+HERM16 = EYE16 + (_OUTER16 + _OUTER16.conj().T) / 2
+_SHAPE = "need one (K_q, K_q) covariance per group"
+_DTYPE = "need one numeric covariance per group that numpy.linalg can factor"
 
 
-@pytest.mark.parametrize("covs", [
-    [EYE16] * 2,
-    [EYE16] * 4,
-    [EYE16, np.eye(15, dtype=complex), EYE16],
-    [EYE16, EYE16, np.eye(16, 17, dtype=complex)],
-    [EYE16, EYE16, EYE16[None]],
-    [EYE16.tolist()] * 3,
+@pytest.mark.parametrize("covs, message", [
+    ([EYE16] * 2, _SHAPE),
+    ([EYE16] * 4, _SHAPE),
+    ([EYE16, np.eye(15, dtype=complex), EYE16], _SHAPE),
+    ([EYE16, EYE16, np.eye(16, 17, dtype=complex)], _SHAPE),
+    ([EYE16, EYE16, EYE16[None]], _SHAPE),
+    ([EYE16.tolist()] * 3, _SHAPE),
     # the eigensolvers read only the lower triangle, so these were rooted
     # as if Hermitian, or blamed on the roots
-    [HERM16 + np.triu(np.full((16, 16), 1j), 1), HERM16, HERM16],
-    [HERM16, HERM16 + np.triu(HERM16, 1), HERM16],
-    [HERM16, HERM16, np.triu(HERM16)],
-    [HERM16, HERM16 + 1j * EYE16, HERM16],
-    [HERM16.astype(str)] * 3,
+    ([HERM16 + np.triu(np.full((16, 16), 1j), 1), HERM16, HERM16], "group 0 is not"),
+    ([HERM16, HERM16 + np.triu(HERM16, 1), HERM16], "group 1 is not"),
+    ([HERM16, HERM16, np.triu(HERM16)], "group 2 is not"),
+    ([HERM16, HERM16 + 1j * EYE16, HERM16], "group 1 is not"),
+    ([HERM16.astype(str)] * 3, _DTYPE),
     # numpy.linalg refuses these with a TypeError
-    [EYE16.real.astype(np.float16)] * 3,
-    [EYE16.real.astype(np.longdouble)] * 3,
-    [EYE16, EYE16.astype(np.clongdouble), EYE16],
+    ([EYE16.real.astype(np.float16)] * 3, _DTYPE),
+    ([EYE16.real.astype(np.longdouble)] * 3, _DTYPE),
+    ([EYE16, EYE16.astype(np.clongdouble), EYE16], _DTYPE),
 ], ids=["two-groups", "four-groups", "k15-g1", "non-square-g2", "stacked-g2", "lists",
         "upper-plus-1j-g0", "upper-doubled-g1", "lower-zeroed-g2", "imaginary-diagonal-g1",
         "strings", "float16", "longdouble", "clongdouble-g1"])
-def test_candidates_from_covariances_refuses_wrong_shapes(covs):
-    with pytest.raises(ValueError, match="covariance per group"):
+def test_candidates_from_covariances_refuses_wrong_shapes(covs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         candidates_from_covariances(BASE_CFG, covs)
+
+
+def test_candidates_from_covariances_takes_any_iterable():
+    # the shape check reads the covariances once, so a generator or a
+    # dict view gives the list's candidate sets bit for bit
+    covs = simulate_groups(scenario(snr_db=10.0, seed=5), reduce=fusion.sample_covariance)
+    expected = candidates_from_covariances(BASE_CFG, list(covs))
+    for source in ((c for c in covs), dict(enumerate(covs)).values()):
+        got = candidates_from_covariances(BASE_CFG, source)
+        assert all(a.angles.tobytes() == b.angles.tobytes() for a, b in zip(got, expected))
+        assert len(got) == len(expected)
 
 
 def test_other_exceptions_propagate_after_one_pass(monkeypatch):
@@ -587,9 +603,16 @@ def test_estimate_doa_high_snr(method):
     assert np.max(np.abs(est.selected.angles - THETA41)) < math.radians(0.05)
 
 
-def test_estimate_doa_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        estimate_doa(scenario(), method="oracle")
+def test_estimate_doa_rejects_unknown_method(monkeypatch):
+    # refused before the trial is drawn: no simulate pass
+    passes, simulate = [], fusion.simulate_groups
+    monkeypatch.setattr(fusion, "simulate_groups",
+                        lambda sc, **kw: passes.append(sc) or simulate(sc, **kw))
+    for method in ("oracle", "crlb-ratio"):
+        with pytest.raises(ValueError) as info:
+            estimate_doa(scenario(), method=method)
+        assert str(info.value) == f"unknown weighting method {method!r}"
+    assert passes == []
 
 
 def test_estimate_seed_paired_methods_share_tuple():

@@ -17,8 +17,6 @@ from h2ad_doa.mbdnn import (
     MlpModel,
     MlpSpec,
     ModelFormatError,
-    NonFiniteLossError,
-    ShapeMismatchError,
     TrainConfig,
     features_from_candidates,
     forward,
@@ -127,8 +125,9 @@ def test_forward_accepts_single_sample():
 
 def test_forward_rejects_wrong_width():
     model = init_model(SPEC, seed=1)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValueError) as info:
         forward(model, np.zeros((2, 30)))
+    assert str(info.value) == "features shape (2, 30) does not match feature length 31"
 
 
 def test_loss_formulas():
@@ -230,8 +229,11 @@ def test_train_rejects_bad_stage_and_empty_data():
         train(model, random_dataset(0), TrainConfig(stage="mb_fcnn"))
     narrow = random_dataset(8)
     narrow.features = narrow.features[:, :-1]
-    with pytest.raises(ShapeMismatchError, match="feature length 30"):
+    with pytest.raises(ValueError) as info:
         train(model, narrow, TrainConfig(stage="mb_fcnn"))
+    assert str(info.value) == (
+        "dataset feature length 30 does not match model feature length 31"
+    )
 
 
 @pytest.mark.parametrize("stage", STAGES)
@@ -248,8 +250,13 @@ def test_train_refuses_labels_of_wrong_shape(stage, table, cut):
     before = {k: v.copy() for k, v in model.params.items()}
     ds = random_dataset(8)
     setattr(ds, table, cut(getattr(ds, table)))
-    with pytest.raises(ShapeMismatchError, match=table):
+    expected = (8, 3) if table == "label_tuple" else (8,)
+    with pytest.raises(ValueError) as info:
         train(model, ds, TrainConfig(stage=stage, epochs=1, batch_size=3, lr=1e-2))
+    assert str(info.value) == (
+        f"dataset {table} shape {np.shape(getattr(ds, table))}, expected {expected} "
+        "for 8 samples of 3 groups"
+    )
     assert all(np.array_equal(before[k], model.params[k]) for k in before)
     assert model.epochs_trained == 0
 
@@ -293,9 +300,9 @@ def test_train_config_rejects_bad_values(field, value):
 def test_train_raises_on_nonfinite():
     model = init_model(SPEC, seed=1)
     model.params["head_w"][:] = np.inf
-    with pytest.raises(NonFiniteLossError) as info:
+    with pytest.raises(RuntimeError) as info:
         train(model, random_dataset(8), TrainConfig(stage="mb_fcnn", epochs=1))
-    assert info.value.stage == "mb_fcnn"
+    assert str(info.value) == "mb_fcnn loss became nan at epoch 0"
 
 
 def test_features_from_candidates_layout():
@@ -313,11 +320,13 @@ def test_features_from_candidates_layout():
 def test_features_from_candidates_rejects_wrong_block():
     sc = SimScenario(cfg=BASE_CFG, theta0=0.1, snr_db=15.0, snapshots=100, seed=3)
     sets = list(group_candidates(sc))
-    with pytest.raises(ShapeMismatchError, match="2 candidate sets for 3 groups"):
+    with pytest.raises(ValueError) as info:
         features_from_candidates(SPEC, sets[:2])
+    assert str(info.value) == "2 candidate sets for 3 groups"
     sets[1] = sets[0]
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ValueError) as info:
         features_from_candidates(SPEC, sets)
+    assert str(info.value) == "group 1 has 7 candidates, expected 11"
 
 
 def test_generate_dataset_labels_are_nearest_candidates():
