@@ -4,14 +4,13 @@
 covariance per group, simulated or recorded, split into classes of equal
 ``K_q``, each class through one stacked eigensolve, polynomial build and,
 below ``K_q = 18``, companion rooting (see :mod:`h2ad_doa.subspace`).
-:func:`group_candidates` feeds it one simulated trial, drawn once, its
-blocks and covariances formed by the calling thread and, with more than
-one CPU, a bounded thread pool (:func:`~h2ad_doa.signal_sim.simulate_groups`);
-every caller (``estimate_doa``, the CLI, ``run_sweep`` and
-``generate_dataset``) goes through it.  The candidate sets equal the
-per-group chain's bit for bit.  If a stack fails, the same covariances
-are rooted again one group per stack, in group order, so a failure names
-the same group and cause as the chain without drawing the trial again.
+:func:`group_candidates` feeds it one simulated trial, drawn once
+(:func:`~h2ad_doa.signal_sim.simulate_groups`); every caller
+(``estimate_doa``, the CLI, ``run_sweep`` and ``generate_dataset``) goes
+through it.  The candidate sets equal the per-group chain's bit for
+bit.  If a stack fails, the same covariances are rooted again one group
+per stack, in group order, so a failure names the same group and cause
+as the chain without drawing the trial again.
 
 Coprime subarray sizes guarantee the groups' candidate sets intersect in
 exactly one angle.  With noise the common angle spreads into a tight
@@ -344,8 +343,7 @@ def group_candidates(scenario: SimScenario) -> tuple[CandidateSet, ...]:
     """Run the per-group front end: simulate, covariance, root, unfold.
 
     The trial is drawn once: :func:`~h2ad_doa.signal_sim.simulate_groups`
-    forms each group's covariance in the thread that drew its block (the
-    calling thread and up to ``min(Q, CPUs) - 1`` pool threads), and
+    forms each group's covariance as soon as its block is drawn, and
     :func:`candidates_from_covariances` roots them.  Every candidate set
     equals the per-group chain's (:func:`~h2ad_doa.signal_sim.simulate_group`,
     :func:`sample_covariance`, :func:`~h2ad_doa.subspace.noise_subspace`,

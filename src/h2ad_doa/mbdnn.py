@@ -18,7 +18,6 @@ coming from the subspace stage are converted on entry.
 
 from __future__ import annotations
 
-import logging
 import math
 import struct
 import zipfile
@@ -31,8 +30,6 @@ from .array_model import ArrayConfig, ConfigError, check_integer, check_real
 from .fusion import GroupFailureError, group_candidates
 from .signal_sim import SimScenario, derive_seed
 from .subspace import CandidateSet
-
-logger = logging.getLogger(__name__)
 
 MODEL_MAGIC = b"MBDNN1"
 
@@ -412,8 +409,6 @@ def generate_dataset(
             )
             label_theta.append(theta_deg)
             snr_col.append(cell.snr_db)
-    if skipped:
-        logger.info("dataset generation skipped %d failed trials", skipped)
     return Dataset(
         features=np.array(features).reshape(-1, spec.feature_length),
         label_tuple=np.array(label_tuple).reshape(-1, spec.num_groups),

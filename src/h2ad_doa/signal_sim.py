@@ -37,33 +37,18 @@ group's amplitude and virtual steering vector depend on the array and
 cell, so :func:`_group_constants` memoises them in a bounded cache of
 read-only arrays; a first trial, or a one-shot estimate, fills an entry.
 
-Large blocks are drawn in parallel.  Drawing the normals and the
-covariance ``group_candidates`` asks for run in numpy and BLAS with the
-GIL released, so :func:`simulate_groups` draws the emitter waveform in the
-calling thread and, if the blocks average at least ``FAN_OUT_MIN_BLOCK``
-samples ``K_q * T`` (K_q = 64 at T = 200 does, K_q = 16 does not), deals
-the groups round robin into ``n = min(groups, CPUs)`` shares: the calling
-thread draws groups ``0, n, 2n, ...`` and ``n - 1`` pool threads the
-others.  CPUs are those of ``os.sched_getaffinity(0)`` (``os.cpu_count()``
-where a platform has no affinity mask).  With one CPU, one group or
-smaller blocks, no thread is started.  Since every block comes from its
-own stream, the bits do not depend on the split.  Each pool share runs
-under the caller's floating-point error settings (``np.geterr``,
-``np.geterrcall``), so a caller's ``np.errstate`` or ``np.seterr`` holds
-there on numpy 1 and 2 alike.  The pool is built on first use, bounded by
-the CPU count less one, and dropped in a forked child, which builds its
-own.
+Every block is drawn in the calling thread, one group after another, and
+several user threads may estimate at once: each draws from its own
+Philox, and a block depends on its ``(seed, group)`` stream alone.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -87,44 +72,11 @@ _ZERO_WORDS.flags.writeable = False
 #: sweep or dataset cell reuses one entry for all its trials.
 GROUP_CONSTANTS_CACHE_SIZE = 128
 
-#: Smallest mean block size ``K_q * T``, in samples, at which
-#: :func:`simulate_groups` draws the groups across threads.  Below it the
-#: hand-offs to and from a pool thread (about 80 us on a 2-vCPU VM) and
-#: the GIL hand-offs between the tasks' small numpy calls cost more than
-#: the draws they move: with the fan-out, the benchmark's median trial on
-#: 2 vCPUs ran 7% slower at ``K_q * T = 1600`` and 2% slower at 3200, and
-#: 13% faster at 12800.
-FAN_OUT_MIN_BLOCK = 8192
-
 #: Inexact scalar types that ``numpy.linalg`` refuses to factor.
 UNSOLVABLE_DTYPES = (np.float16, np.longdouble, np.clongdouble)
 
 #: Holds each thread's Philox as ``philox`` (:func:`_generator`).
 _local = threading.local()
-
-#: The threads that draw the shares beyond the caller's (:func:`_fan_out`).
-_pool: concurrent.futures.ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # A forked child has none of the pool's threads, and a lock held at the
-    # fork stays held in it: start both afresh.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _cpus() -> int:
-    """CPUs this process may run on: its affinity mask, where there is one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
 
 #: Largest finite ``|snr_db|`` accepted.  From about +3000 dB the exact
 #: CRLB overflows, and past about +-3080 dB so does ``10**(snr_db/10)``.
@@ -236,55 +188,6 @@ def _generator(seed: int, stream_id: int) -> np.random.Generator:
     return _rekeyed(bitgen, seed, stream_id)
 
 
-def _thread_pool() -> concurrent.futures.ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=max(1, _cpus() - 1),
-                thread_name_prefix="h2ad-draw",
-            )
-        return _pool
-
-
-def _fan_out(task: Callable[[Any], Any], args: Sequence) -> list:
-    """``[task(a) for a in args]``, dealt round robin into one share for
-    the calling thread and ``min(len(args), CPUs) - 1`` for the pool.
-
-    Each pool share runs under the caller's ``np.geterr`` and
-    ``np.geterrcall``.  A share stops at its first exception; once every
-    share is done, the exception of the first failing argument is raised,
-    which is the one a serial loop would raise.
-    """
-    n = min(len(args), _cpus())
-    if n < 2:
-        return [task(a) for a in args]
-    results: list = [None] * len(args)
-    failed: dict[int, Exception] = {}
-    call, errors = np.geterrcall(), np.geterr()
-
-    def run(share: range) -> None:
-        for i in share:
-            try:
-                results[i] = task(args[i])
-            except Exception as err:  # raised below, in argument order
-                failed[i] = err
-                return
-
-    def pooled(share: range) -> None:
-        with np.errstate(call=call, **errors):
-            run(share)
-
-    pool = _thread_pool()
-    futures = [pool.submit(pooled, range(s, len(args), n)) for s in range(1, n)]
-    run(range(0, len(args), n))
-    for future in futures:
-        future.result()
-    if failed:
-        raise failed[min(failed)]
-    return results
-
-
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Unit-variance circular complex Gaussian draws, (g1 + j*g2)/sqrt(2).
 
@@ -315,11 +218,10 @@ def simulate_groups(
     """Simulate the snapshot blocks of ``groups`` (default: all, in order).
 
     The shared emitter waveform is drawn once for all of them, then the
-    blocks are drawn in the calling thread or, if they average at least
-    ``FAN_OUT_MIN_BLOCK`` samples, across threads (see the module notes).
-    Each block is deterministic given ``(scenario.seed, q)``.  ``reduce``,
-    if given, maps each block to what is returned in its place, in the
-    thread that drew it: ``group_candidates`` passes ``sample_covariance``.
+    blocks one at a time, each deterministic given ``(scenario.seed, q)``.
+    ``reduce``, if given, maps each block to what is returned in its place
+    before the next block is drawn: ``group_candidates`` passes
+    ``sample_covariance``.
     A group index that is not an integer in ``[0, Q - 1]`` raises
     ``ConfigError``.
 
@@ -353,10 +255,7 @@ def simulate_groups(
         data += noise
         return data if reduce is None else reduce(data)
 
-    samples = scenario.snapshots * sum(scenario.cfg.K[q] for q in groups)
-    if samples < FAN_OUT_MIN_BLOCK * len(groups):
-        return tuple(map(draw, groups))
-    return tuple(_fan_out(draw, groups))
+    return tuple(map(draw, groups))
 
 
 @functools.lru_cache(maxsize=GROUP_CONSTANTS_CACHE_SIZE)

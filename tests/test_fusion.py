@@ -30,7 +30,7 @@ from h2ad_doa.fusion import (
     weights_exact,
 )
 from h2ad_doa import fusion, signal_sim
-from h2ad_doa.signal_sim import SimScenario, simulate_group, simulate_groups
+from h2ad_doa.signal_sim import SimScenario, sample_covariance, simulate_group, simulate_groups
 from h2ad_doa.subspace import (
     DegenerateSpectrumError,
     NoRootFoundError,
@@ -476,12 +476,10 @@ def test_other_exceptions_propagate_after_one_pass(monkeypatch):
 
 @pytest.mark.parametrize("raising, label", [({1, 2}, 1), ({2}, 2), ({0, 1, 2}, 0), ({1}, 1)])
 def test_draw_task_exception_is_the_first_failing_groups(monkeypatch, raising, label):
-    # the blocks are drawn across threads, yet a covariance that raises
-    # surfaces as the serial loop's would: the lowest failing group's,
+    # a covariance that raises surfaces as the lowest failing group's,
     # unwrapped and after one pass
     sc = scenario(snr_db=10.0)
     group_of = {block.tobytes(): q for q, block in enumerate(simulate_groups(sc))}
-    monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
     real = fusion.sample_covariance
 
     def covariance(block):
@@ -497,11 +495,9 @@ def test_draw_task_exception_is_the_first_failing_groups(monkeypatch, raising, l
 
 @pytest.mark.parametrize("over", ["ignore", "raise"])
 def test_caller_errstate_holds_in_every_draw_task(monkeypatch, over):
-    # np.errstate is context-local: each group's covariance, whichever
-    # thread forms it, overflows under the caller's setting
+    # each group's covariance overflows under the caller's np.errstate
     sc = scenario(snr_db=10.0, seed=5)
     group_of = {block.tobytes(): q for q, block in enumerate(simulate_groups(sc))}
-    monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
     real = fusion.sample_covariance
     seen = {}
 
@@ -523,10 +519,9 @@ def test_caller_errstate_holds_in_every_draw_task(monkeypatch, over):
         assert sorted(seen) == [0, 1, 2]
 
 
-def test_concurrent_callers_get_the_serial_bits(monkeypatch):
-    # more calling threads than cores, switching often, share the pool and
-    # must each see the bits of one serial pass
-    monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
+def test_concurrent_callers_get_the_serial_bits():
+    # more calling threads than cores, switching often, must each see the
+    # bits of one serial pass
     scenarios = [
         (scenario(cfg=ArrayConfig(M=M, K=K), snr_db=snr, seed=seed), method)
         for seed, (M, K, snr, method) in enumerate(
@@ -556,14 +551,10 @@ def test_concurrent_callers_get_the_serial_bits(monkeypatch):
         assert got[i] == serial[i:] + serial[:i]
 
 
-def test_forked_child_estimates_the_parents_bits(monkeypatch):
-    # the child has none of the parent's pool threads; it must build its
-    # own rather than wait on them
-    monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
+def test_forked_child_estimates_the_parents_bits():
+    # the child inherits the parent's warmed Philox and memoised constants
     sc = scenario(snr_db=10.0, seed=7)
     expected = np.float64(estimate_doa(sc).theta_hat).tobytes()
-    if signal_sim._cpus() > 1:
-        assert signal_sim._pool is not None
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:  # child: report and leave without running the parent's teardown
@@ -683,3 +674,48 @@ def test_noiseless_recovery_on_random_coprime_configs(cfg, theta_deg, seed):
                for q, m in enumerate(cfg.M)))
     sc = SimScenario(cfg=cfg, theta0=theta, snr_db=math.inf, snapshots=32, seed=seed)
     assert abs(estimate_doa(sc, "crlb_ratio").theta_hat - theta) <= 1e-8
+
+
+def _fused_angles(cfg, covs, snr_db):
+    """Each method's fused angle from ``covs`` at T = 200."""
+    sets = candidates_from_covariances(cfg, covs)
+    return {method: fuse_candidates(cfg, sets, method, snr_db, 200).theta_hat
+            for method in ("crlb_ratio", "exact_crlb")}
+
+
+def _check_mirror_and_scale(cfg, theta_deg, snr_db, seed):
+    # Metamorphic relations of a single-source ULA front end: conjugating
+    # every block, or reversing each block's element order, mirrors the
+    # answer, theta -> -theta, and scaling every covariance by a power of
+    # two leaves its bits alone.  An alias flip moves the answer by far
+    # more than the tolerance.
+    blocks = simulate_groups(SimScenario(cfg, math.radians(theta_deg), snr_db, 200, seed))
+    plain = _fused_angles(cfg, [sample_covariance(b) for b in blocks], snr_db)
+    mirrors = {
+        "conjugated": _fused_angles(cfg, [sample_covariance(b.conj()) for b in blocks], snr_db),
+        "reversed": _fused_angles(cfg, [sample_covariance(b[::-1]) for b in blocks], snr_db),
+    }
+    scaled = _fused_angles(cfg, [4.0 * sample_covariance(b) for b in blocks], snr_db)
+    for method, theta in plain.items():
+        for name, got in mirrors.items():
+            assert abs(got[method] + theta) <= 1e-12, (name, method, theta, got[method])
+        assert np.float64(scaled[method]).tobytes() == np.float64(theta).tobytes(), method
+
+
+_RELATION_SNRS = st.sampled_from((-10.0, -5.0, 0.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=st.sampled_from([ArrayConfig(M=(7, 11, 13), K=(16,) * 3),
+                            ArrayConfig(M=(5, 7, 11), K=(8, 24, 12))]),
+       theta_deg=st.floats(-60.0, 60.0), snr_db=_RELATION_SNRS, seed=st.integers(0, 2**32))
+def test_mirrored_and_scaled_covariances(cfg, theta_deg, snr_db, seed):
+    # the mixed config roots K_q on both sides of 18 in one trial
+    _check_mirror_and_scale(cfg, theta_deg, snr_db, seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(theta_deg=st.floats(-60.0, 60.0), snr_db=_RELATION_SNRS, seed=st.integers(0, 2**32))
+def test_mirrored_and_scaled_covariances_k64(theta_deg, snr_db, seed):
+    # fewer draws: at -10 dB each K_q = 64 trial falls back to np.roots
+    _check_mirror_and_scale(ArrayConfig(M=(11, 13, 17), K=(64,) * 3), theta_deg, snr_db, seed)

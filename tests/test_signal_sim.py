@@ -170,8 +170,7 @@ def test_rekeyed_bit_generator_equals_fresh_philox(seed, stream_id, previous, ra
 def test_warmed_trial_builds_no_bit_generator(monkeypatch):
     # each thread keeps one Philox for all its streams, the emitter's too:
     # a thread's first trial builds one there, and its next trial none;
-    # no thread, calling or pool, ever builds a second
-    monkeypatch.setattr(signal_sim, "FAN_OUT_MIN_BLOCK", 0)
+    # no thread ever builds a second
     built = []
     philox = np.random.Philox
     monkeypatch.setattr(np.random, "Philox",
@@ -200,17 +199,20 @@ def test_warmed_trial_builds_no_bit_generator(monkeypatch):
 
 
 @pytest.mark.parametrize("K", [16, 64])
-def test_blocks_leave_the_calling_thread_only_when_large(K):
-    # at the default FAN_OUT_MIN_BLOCK, K_q * T = 3200 stays in the calling
-    # thread and 12800 is split with the pool (given two CPUs)
+def test_each_block_is_reduced_in_the_calling_thread_before_the_next_draw(K, monkeypatch):
     sc = scenario(cfg=ArrayConfig(M=(11, 13, 17), K=(K,) * 3), snr_db=0.0, seed=1)
-    caller = threading.current_thread()
-    threads = signal_sim.simulate_groups(sc, reduce=lambda block: threading.current_thread())
-    assert threads[0] is caller
-    if K * sc.snapshots < signal_sim.FAN_OUT_MIN_BLOCK:
-        assert set(threads) == {caller}
-    elif signal_sim._cpus() > 1:
-        assert threads[1] is not caller and threads[2] is caller
+    events = []
+    generator = signal_sim._generator
+    monkeypatch.setattr(signal_sim, "_generator",
+                        lambda seed, stream: events.append(("draw", stream)) or generator(seed, stream))
+    threads = signal_sim.simulate_groups(
+        sc, reduce=lambda block: events.append(("reduce", block.shape[0])) or threading.current_thread())
+    assert threads == (threading.current_thread(),) * 3
+    assert events == [("draw", _EMITTER_STREAM), ("draw", 0), ("reduce", K),
+                      ("draw", 1), ("reduce", K), ("draw", 2), ("reduce", K)]
+    before = threading.active_count()
+    estimate_doa(sc)
+    assert threading.active_count() == before
 
 
 def test_memoised_group_constants_are_read_only_and_shared():
